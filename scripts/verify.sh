@@ -21,6 +21,10 @@
 #                                (5% socket faults + hostile clients: >=99%
 #                                success with retries, no crash, no leaked
 #                                connection, p99 recovers after disarm)
+#   scripts/verify.sh bench      end-to-end benchmark smoke: builds perfbench/
+#                                (larserved + perfbench_driver, against the
+#                                Engine, Service and Session APIs) and runs
+#                                every workload on a few checked requests
 #
 # The tier-1 leg uses the regular build/ tree (shared with development, so
 # incremental rebuilds are cheap). The sanitize leg configures a separate
@@ -237,6 +241,15 @@ run_chaos() {
     grep -q '"pass":true' "$root/build/BENCH_chaos.json"
 }
 
+run_bench() {
+    # perfbench/ is its own CMake project compiled from src/, so an API
+    # change that breaks it would otherwise surface only when the benchmark
+    # runs. --smoke builds it (into .bench_build/) and sends a few checked
+    # requests per workload; a wrong answer or a build failure fails the leg.
+    echo "== bench: perfbench build + smoke run =="
+    (cd "$root" && python3 perfbench/run.py --smoke)
+}
+
 run_sanitize() {
     echo "== sanitize: LAR_SANITIZE=address,undefined build + ctest =="
     cmake -B "$root/build-asan" -S "$root" -DLAR_SANITIZE=address,undefined
@@ -256,6 +269,7 @@ case "$leg" in
     session) run_session ;;
     obs) run_obs ;;
     chaos) run_chaos ;;
+    bench) run_bench ;;
     all)
         run_tier1
         run_portfolio
@@ -264,10 +278,11 @@ case "$leg" in
         run_session
         run_obs
         run_chaos
+        run_bench
         run_sanitize
         ;;
     *)
-        echo "usage: scripts/verify.sh [tier1|sanitize|portfolio|solver|server|session|obs|chaos|all]" >&2
+        echo "usage: scripts/verify.sh [tier1|sanitize|portfolio|solver|server|session|obs|chaos|bench|all]" >&2
         exit 2
         ;;
 esac

@@ -18,64 +18,12 @@ Engine::Engine(std::shared_ptr<const Compilation> compilation,
     expects(compilation_ != nullptr, "Engine: null compilation");
 }
 
+namespace {
 
-
-void Engine::captureSessionTelemetry(const SolverSession& session) {
-    lastStopReason_ = session.backend().lastStopReason();
-    lastWarmStartImported_ = session.warmStartImported();
-    lastSnapshot_.reset();
-    if (options_.captureSnapshot) {
-        sat::SolverSnapshot snap = session.exportSnapshot();
-        if (!snap.empty())
-            lastSnapshot_ =
-                std::make_shared<const sat::SolverSnapshot>(std::move(snap));
-    }
-}
-
-FeasibilityReport Engine::checkFeasible() {
-    const obs::Span span("solve");
-    FeasibilityReport report;
-    SolverSession session = newSession();
-    const smt::CheckStatus status = session.backend().check();
-    report.feasible = status == smt::CheckStatus::Sat;
-    report.timedOut = status == smt::CheckStatus::Unknown;
-    if (status == smt::CheckStatus::Unsat) {
-        report.conflictingRules =
-            compilation_->describeTracks(session.backend().unsatCore().tracks);
-    }
-    lastStats_ = session.backend().stats();
-    lastPortfolio_ = session.backend().portfolioStats();
-    lastUnknown_ = report.timedOut;
-    captureSessionTelemetry(session);
-    return report;
-}
-
-FeasibilityReport Engine::explainMinimalConflict() {
-    const obs::Span span("solve");
-    FeasibilityReport report;
-    SolverSession session = newSession();
-    smt::Backend& backend = session.backend();
-    lastUnknown_ = false;
-    const smt::CheckStatus first = backend.check();
-    if (first == smt::CheckStatus::Sat) {
-        report.feasible = true;
-        lastStats_ = backend.stats();
-        lastPortfolio_ = backend.portfolioStats();
-        captureSessionTelemetry(session);
-        return report;
-    }
-    if (first == smt::CheckStatus::Unknown) {
-        report.timedOut = true;
-        lastStats_ = backend.stats();
-        lastPortfolio_ = backend.portfolioStats();
-        lastUnknown_ = true;
-        captureSessionTelemetry(session);
-        return report;
-    }
-    std::vector<int> core = backend.unsatCore().tracks;
-    // Deletion-based minimization: drop one rule at a time; keep the drop
-    // whenever the remainder is still unsatisfiable (adopting the possibly
-    // even smaller core the solver returns).
+/// Deletion-based core minimization: drop one rule at a time; keep the drop
+/// whenever the remainder is still unsatisfiable (adopting the possibly even
+/// smaller core the solver returns).
+std::vector<int> minimizeCore(smt::Backend& backend, std::vector<int> core) {
     std::size_t i = 0;
     while (i < core.size()) {
         std::vector<int> candidate = core;
@@ -88,72 +36,110 @@ FeasibilityReport Engine::explainMinimalConflict() {
             ++i;
         }
     }
-    report.conflictingRules = compilation_->describeTracks(core);
-    lastStats_ = backend.stats();
-    lastPortfolio_ = backend.portfolioStats();
-    captureSessionTelemetry(session);
-    return report;
+    return core;
+}
+
+smt::CheckStatus statusOf(const smt::OptimizeResult& result) {
+    if (result.feasible) return smt::CheckStatus::Sat;
+    return result.unknown ? smt::CheckStatus::Unknown : smt::CheckStatus::Unsat;
+}
+
+FeasibilityReport toReport(Answer answer) {
+    return {answer.verdict == Verdict::Sat, gaveUp(answer.verdict),
+            std::move(answer.conflictingRules)};
+}
+
+} // namespace
+
+Answer Engine::run(QueryKind kind, int maxDesigns) {
+    return execute(kind, maxDesigns, /*optimizeFirst=*/true);
+}
+
+Answer Engine::execute(QueryKind kind, int maxDesigns, bool optimizeFirst) {
+    const obs::Span span("solve");
+    SolverSession session(compilation_, options_);
+    smt::Backend& backend = session.backend();
+    Answer answer;
+    smt::CheckStatus status = smt::CheckStatus::Sat;
+    switch (kind) {
+        case QueryKind::Feasibility:
+        case QueryKind::Explain: {
+            status = backend.check();
+            if (status != smt::CheckStatus::Unsat) break;
+            std::vector<int> core = backend.unsatCore().tracks;
+            if (kind == QueryKind::Explain)
+                core = minimizeCore(backend, std::move(core));
+            answer.conflictingRules = compilation_->describeTracks(core);
+            break;
+        }
+        case QueryKind::Synthesize:
+            status = backend.check();
+            if (status == smt::CheckStatus::Sat)
+                answer.design = session.extractDesign();
+            break;
+        case QueryKind::Optimize: {
+            // An interrupted optimize that still found a model answers with
+            // that best-effort design.
+            const smt::OptimizeResult result =
+                backend.optimize(compilation_->objectives());
+            status = statusOf(result);
+            if (result.feasible) {
+                answer.design = session.extractDesign();
+                answer.design->objectiveCosts = result.costs;
+            }
+            break;
+        }
+        case QueryKind::Enumerate:
+            // Lock in the optimal objective costs, then enumerate within them.
+            if (optimizeFirst)
+                status = statusOf(backend.optimize(compilation_->objectives()));
+            while (status == smt::CheckStatus::Sat &&
+                   static_cast<int>(answer.designs.size()) < maxDesigns) {
+                status = backend.check();
+                if (status != smt::CheckStatus::Sat) break;
+                answer.designs.push_back(session.extractDesign());
+                session.blockCurrentDesign();
+            }
+            // A partial enumeration is still an answer; an empty one is
+            // Unsat unless the solver gave up before the first design.
+            if (!answer.designs.empty()) status = smt::CheckStatus::Sat;
+            else if (status == smt::CheckStatus::Sat)
+                status = smt::CheckStatus::Unsat;
+            break;
+    }
+    answer.verdict = verdictOf(status, backend.lastStopReason(), options_);
+    answer.stopReason = backend.lastStopReason();
+    answer.stats = backend.stats();
+    answer.portfolio = backend.portfolioStats();
+    answer.warmStartImported = session.warmStartImported();
+    if (options_.captureSnapshot) {
+        sat::SolverSnapshot snap = session.exportSnapshot();
+        if (!snap.empty())
+            answer.snapshot =
+                std::make_shared<const sat::SolverSnapshot>(std::move(snap));
+    }
+    lastVerdict_ = answer.verdict;
+    return answer;
+}
+
+FeasibilityReport Engine::checkFeasible() {
+    return toReport(run(QueryKind::Feasibility));
+}
+
+FeasibilityReport Engine::explainMinimalConflict() {
+    return toReport(run(QueryKind::Explain));
 }
 
 std::optional<Design> Engine::synthesize() {
-    const obs::Span span("solve");
-    SolverSession session = newSession();
-    const smt::CheckStatus status = session.backend().check();
-    lastStats_ = session.backend().stats();
-    lastPortfolio_ = session.backend().portfolioStats();
-    lastUnknown_ = status == smt::CheckStatus::Unknown;
-    captureSessionTelemetry(session);
-    if (status != smt::CheckStatus::Sat) return std::nullopt;
-    return session.extractDesign();
+    return run(QueryKind::Synthesize).design;
 }
 
 std::optional<Design> Engine::optimize() {
-    const obs::Span span("solve");
-    SolverSession session = newSession();
-    const smt::OptimizeResult result =
-        session.backend().optimize(compilation_->objectives());
-    lastStats_ = session.backend().stats();
-    lastPortfolio_ = session.backend().portfolioStats();
-    // An interrupted optimize that still found a model returns that
-    // best-effort design; only "interrupted with nothing" counts as unknown.
-    lastUnknown_ = result.unknown && !result.feasible;
-    captureSessionTelemetry(session);
-    if (!result.feasible) return std::nullopt;
-    Design design = session.extractDesign();
-    design.objectiveCosts = result.costs;
-    return design;
+    return run(QueryKind::Optimize).design;
 }
 
 std::vector<Design> Engine::enumerateDesigns(int maxDesigns, bool optimizeFirst) {
-    const obs::Span span("solve");
-    std::vector<Design> designs;
-    SolverSession session = newSession();
-    if (optimizeFirst) {
-        // Lock in the optimal objective costs, then enumerate within them.
-        const smt::OptimizeResult result =
-            session.backend().optimize(compilation_->objectives());
-        if (!result.feasible) {
-            lastStats_ = session.backend().stats();
-            lastPortfolio_ = session.backend().portfolioStats();
-            lastUnknown_ = result.unknown;
-            captureSessionTelemetry(session);
-            return designs;
-        }
-    }
-    smt::CheckStatus status = smt::CheckStatus::Sat;
-    while (static_cast<int>(designs.size()) < maxDesigns) {
-        status = session.backend().check();
-        if (status != smt::CheckStatus::Sat) break;
-        designs.push_back(session.extractDesign());
-        session.blockCurrentDesign();
-    }
-    lastStats_ = session.backend().stats();
-    lastPortfolio_ = session.backend().portfolioStats();
-    // A partial enumeration is still an answer; only "interrupted before
-    // the first design" is unknown.
-    lastUnknown_ = designs.empty() && status == smt::CheckStatus::Unknown;
-    captureSessionTelemetry(session);
-    return designs;
+    return execute(QueryKind::Enumerate, maxDesigns, optimizeFirst).designs;
 }
 
 ScenarioComparison compareScenarios(const Problem& a, const Problem& b,

@@ -4,15 +4,18 @@
 // the Service's compilation cache) and answers the architect's queries on
 // it: feasibility with rule-level conflict explanations (§6
 // "Explainability"), synthesis, lexicographic optimization (Listing 3 line
-// 10), and equivalence-class enumeration.
+// 10), and equivalence-class enumeration. run() is the one executor: it
+// returns an Answer carrying the verdict, the payload and the solver
+// telemetry; the typed methods are projections of it.
 //
-// Reentrancy contract: every query method acquires a fresh SolverSession
-// from the compilation, so queries are independent — optimize() followed by
+// Reentrancy contract: every query acquires a fresh SolverSession from the
+// compilation, so queries are independent — optimize() followed by
 // synthesize() on the same Engine no longer sees locked optimization
 // bounds, and the same Engine can be reused for any number of queries. The
-// Engine itself is not thread-safe (lastSolveStats() is per-engine mutable
-// state); to run queries concurrently, give each thread its own Engine over
-// the same shared Compilation — that is exactly what reason::Service does.
+// Engine itself is not thread-safe (it remembers the last verdict for
+// lastQueryUnknown()); to run queries concurrently, give each thread its
+// own Engine over the same shared Compilation — that is exactly what
+// reason::Service does.
 #pragma once
 
 #include <memory>
@@ -20,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "reason/answer.hpp"
 #include "reason/compile.hpp"
 #include "reason/design.hpp"
 #include "reason/problem.hpp"
@@ -29,7 +33,7 @@ namespace lar::reason {
 
 struct FeasibilityReport {
     bool feasible = false;
-    /// The solver gave up (QueryOptions::timeoutMs exhausted) before
+    /// The solver gave up (deadline, budget or cancellation) before
     /// reaching a verdict; `feasible` is false but means "unknown".
     bool timedOut = false;
     /// When infeasible: human-readable descriptions of the clashing rules
@@ -47,6 +51,10 @@ public:
     explicit Engine(std::shared_ptr<const Compilation> compilation,
                     const QueryOptions& options = {});
 
+    /// Answers one query of `kind` on a fresh solver session. Enumerate
+    /// returns up to `maxDesigns` designs of the optimal equivalence class;
+    /// the other kinds ignore `maxDesigns`.
+    [[nodiscard]] Answer run(QueryKind kind, int maxDesigns = 0);
 
     /// Is any compliant design possible? On failure, names the conflict.
     [[nodiscard]] FeasibilityReport checkFeasible();
@@ -71,52 +79,12 @@ public:
     [[nodiscard]] std::vector<Design> enumerateDesigns(int maxDesigns,
                                                        bool optimizeFirst = false);
 
-    /// Backend statistics accumulated by the most recent query method call
-    /// (conflicts/decisions/propagations; exact for CDCL, best-effort for
-    /// Z3). Zeroed stats before the first query.
-    [[nodiscard]] const sat::SolverStats& lastSolveStats() const {
-        return lastStats_;
-    }
-
-    /// True when the most recent query method returned without an answer
-    /// because the solver gave up (deadline, conflict/propagation/memory
-    /// budget, or cancellation) — i.e. "no design" meant Unknown, not a
-    /// proven verdict. Results that did produce an answer (possibly
-    /// best-effort, e.g. an interrupted optimize() that found a model)
-    /// leave this false. The Service retry policy keys off this.
-    [[nodiscard]] bool lastQueryUnknown() const { return lastUnknown_; }
-
-    /// Portfolio race figures of the most recent query method call, when the
-    /// query ran with QueryOptions::portfolioWorkers > 1 on the CDCL
-    /// backend; std::nullopt for single-worker queries.
-    [[nodiscard]] const std::optional<smt::PortfolioStats>& lastPortfolioStats()
-        const {
-        return lastPortfolio_;
-    }
-
-    /// Why the most recent query stopped without a definitive verdict
-    /// (StopReason::None when lastQueryUnknown() is false): distinguishes
-    /// deadline expiry from conflict/propagation/memory budgets and
-    /// cancellation.
-    [[nodiscard]] sat::StopReason lastStopReason() const {
-        return lastStopReason_;
-    }
-
-    /// Warm-start snapshot exported from the most recent query's session —
-    /// only when QueryOptions::captureSnapshot was set AND the session's
-    /// clause DB still equalled the replay baseline (check/core queries
-    /// qualify; optimize/enumerate grow clauses and refuse). nullptr
-    /// otherwise.
-    [[nodiscard]] const std::shared_ptr<const sat::SolverSnapshot>&
-    lastSnapshot() const {
-        return lastSnapshot_;
-    }
-
-    /// Clauses the most recent query's session integrated from
-    /// QueryOptions::warmStart (0 = cold start or refused import).
-    [[nodiscard]] std::size_t lastWarmStartImported() const {
-        return lastWarmStartImported_;
-    }
+    /// True when the most recent query returned without an answer because
+    /// the solver gave up (deadline, conflict/propagation/memory budget, or
+    /// cancellation) — i.e. "no design" meant Unknown, not a proven
+    /// verdict. Results that did produce an answer (possibly best-effort,
+    /// e.g. an interrupted optimize() that found a model) leave this false.
+    [[nodiscard]] bool lastQueryUnknown() const { return gaveUp(lastVerdict_); }
 
     [[nodiscard]] const QueryOptions& options() const { return options_; }
     [[nodiscard]] const Compilation& compilation() const { return *compilation_; }
@@ -129,22 +97,12 @@ public:
     }
 
 private:
-    [[nodiscard]] SolverSession newSession() const {
-        return SolverSession(compilation_, options_);
-    }
-    /// Reads per-session telemetry (stop reason, warm-start figures, the
-    /// optional exported snapshot) into the last* members. Called by every
-    /// query method after its final backend call.
-    void captureSessionTelemetry(const SolverSession& session);
+    [[nodiscard]] Answer execute(QueryKind kind, int maxDesigns,
+                                 bool optimizeFirst);
 
     std::shared_ptr<const Compilation> compilation_;
     QueryOptions options_;
-    sat::SolverStats lastStats_;
-    bool lastUnknown_ = false;
-    std::optional<smt::PortfolioStats> lastPortfolio_;
-    sat::StopReason lastStopReason_ = sat::StopReason::None;
-    std::shared_ptr<const sat::SolverSnapshot> lastSnapshot_;
-    std::size_t lastWarmStartImported_ = 0;
+    Verdict lastVerdict_ = Verdict::Sat; ///< not "unknown" before any query
 };
 
 // -- §5.1-style query helpers (compile + solve per call) ----------------------

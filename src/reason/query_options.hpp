@@ -26,14 +26,14 @@ struct QueryOptions {
     /// Wall-clock budget in milliseconds; 0 = unlimited. Under the Service
     /// this is an END-TO-END deadline measured from submission: queue wait
     /// and compilation are deducted before the solver starts, and a request
-    /// that expires while still queued returns timedOut without solving.
+    /// that expires while still queued answers TimedOut without solving.
     /// Used directly (Engine, WhatIfSession) it bounds each solver call.
-    /// On exhaustion feasibility reports carry timedOut and optimization
-    /// returns nullopt.
+    /// On exhaustion the query's Answer carries Verdict::TimedOut (the typed
+    /// Engine methods: FeasibilityReport::timedOut, or nullopt).
     int timeoutMs = 0;
-    /// Conflict budget per solver call; -1 = unlimited. Exhaustion surfaces
-    /// like a timeout (timedOut / nullopt), and under the Service retry
-    /// policy triggers a reseeded re-solve.
+    /// Conflict budget per solver call; -1 = unlimited. Exhaustion answers
+    /// Verdict::Unknown, and under the Service retry policy triggers a
+    /// reseeded re-solve.
     std::int64_t conflictBudget = -1;
     /// Propagation budget per solver call; -1 = unlimited (CDCL only).
     std::int64_t propagationBudget = -1;
@@ -42,13 +42,13 @@ struct QueryOptions {
     /// glue or locked; Z3 maps to max_memory where supported.
     std::int64_t memoryBudgetMb = -1;
     /// Cooperative cancellation: when non-null, flipping the flag (from any
-    /// thread) makes the query return Unknown/timedOut within a few solver
+    /// thread) makes the query answer Verdict::Cancelled within a few solver
     /// polling intervals. The flag is owned by the caller and must outlive
-    /// the query. Cancelled Service queries carry QueryResult::cancelled.
+    /// the query.
     std::atomic<bool>* cancelFlag = nullptr;
     /// Collect a QueryTrace (times, solver statistics, cache outcome) for
-    /// the query. Service honours this per request; Engine always keeps the
-    /// cheap lastSolveStats() regardless.
+    /// the query. Service honours this per request; an Engine Answer always
+    /// carries the cheap solver stats regardless.
     bool collectTrace = true;
     /// Sample CDCL search progress every this many conflicts (0 = never).
     /// Samples land on the active obs span and the global solver histograms;
@@ -82,7 +82,7 @@ struct QueryOptions {
     /// block records the stop.
     std::int64_t simplifyTickBudget = 0;
     /// Export a warm-start snapshot from the query's solver session when the
-    /// query ends (surfaced via Engine::lastSnapshot()). Off by default —
+    /// query ends (surfaced as Answer::snapshot). Off by default —
     /// exporting copies the short learnt clauses — and a no-op for queries
     /// whose session grew the clause DB (optimize bounds, enumeration
     /// blocking clauses) or for backends without snapshot support. The

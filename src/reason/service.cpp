@@ -147,14 +147,14 @@ struct ServiceMetrics {
                             "cache"),
                 reg.counter("lar_warmstart_evictions_total",
                             "Warm-start snapshots evicted from the LRU"),
-                reg.counter("lar_sat_subsumed",
+                reg.counter("lar_sat_subsumed_total",
                             "Clauses removed by inprocessing subsumption"),
-                reg.counter("lar_sat_eliminated_vars",
+                reg.counter("lar_sat_eliminated_vars_total",
                             "Variables removed by bounded variable "
                             "elimination"),
-                reg.counter("lar_sat_probes",
+                reg.counter("lar_sat_probes_total",
                             "Literals probed by failed-literal probing"),
-                reg.counter("lar_sat_arena_gcs",
+                reg.counter("lar_sat_arena_gcs_total",
                             "Clause-arena compactions in query solvers"),
                 reg.gauge("lar_sat_arena_waste_bytes",
                           "Dead clause bytes awaiting arena compaction "
@@ -469,82 +469,12 @@ void Service::solveWithPolicy(const QueryRequest& request,
         }
         try {
             util::FaultInjector::global().maybeFault("service.solve");
-            Engine engine(compilation, effective);
-            switch (request.kind) {
-                case QueryKind::Feasibility: {
-                    const FeasibilityReport report = engine.checkFeasible();
-                    result.conflictingRules = report.conflictingRules;
-                    result.verdict =
-                        report.feasible ? Verdict::Sat : Verdict::Unsat;
-                    break;
-                }
-                case QueryKind::Explain: {
-                    const FeasibilityReport report =
-                        engine.explainMinimalConflict();
-                    result.conflictingRules = report.conflictingRules;
-                    result.verdict =
-                        report.feasible ? Verdict::Sat : Verdict::Unsat;
-                    break;
-                }
-                case QueryKind::Synthesize: {
-                    result.design = engine.synthesize();
-                    result.verdict =
-                        result.design.has_value() ? Verdict::Sat : Verdict::Unsat;
-                    break;
-                }
-                case QueryKind::Optimize: {
-                    result.design = engine.optimize();
-                    result.verdict =
-                        result.design.has_value() ? Verdict::Sat : Verdict::Unsat;
-                    break;
-                }
-                case QueryKind::Enumerate: {
-                    result.designs = engine.enumerateDesigns(
-                        request.maxDesigns, /*optimizeFirst=*/true);
-                    result.verdict =
-                        result.designs.empty() ? Verdict::Unsat : Verdict::Sat;
-                    detail = std::to_string(result.designs.size()) + " designs";
-                    break;
-                }
-            }
-            result.trace.stats = engine.lastSolveStats();
-            // The engine (and its stats) is per-attempt, so these are clean
-            // per-query increments, not cumulative re-counts.
-            metrics.satSubsumed.inc(result.trace.stats.subsumedClauses);
-            metrics.satEliminatedVars.inc(result.trace.stats.eliminatedVars);
-            metrics.satProbes.inc(result.trace.stats.probedLiterals);
-            metrics.satArenaGcs.inc(result.trace.stats.arenaGcs);
-            metrics.satArenaWaste.set(
-                static_cast<double>(result.trace.stats.arenaWasteBytes));
-            if (const std::optional<smt::PortfolioStats>& portfolio =
-                    engine.lastPortfolioStats();
-                portfolio.has_value()) {
-                metrics.portfolioQueries.inc();
-                metrics.portfolioShared.inc(portfolio->clausesShared);
-                metrics.portfolioImported.inc(portfolio->clausesImported);
-                metrics.portfolioLost.inc(portfolio->clausesLost);
-                if (portfolio->winner >= 0) {
-                    ServiceMetrics::portfolioWins(portfolio->winnerConfig).inc();
-                    metrics.portfolioCancelMs.observe(portfolio->cancelLatencyMs);
-                }
-                result.trace.portfolioWinner = portfolio->winnerConfig;
-                result.trace.portfolioShared = portfolio->clausesShared;
-                result.trace.portfolioImported = portfolio->clausesImported;
-                result.trace.portfolioLost = portfolio->clausesLost;
-                result.trace.portfolioCancelMs = portfolio->cancelLatencyMs;
-            }
-            result.trace.stopReason = engine.lastStopReason();
-            if (effective.captureSnapshot) {
-                result.trace.warmStartAttempted =
-                    effective.warmStart != nullptr;
-                result.trace.warmStartClauses = engine.lastWarmStartImported();
-                if (engine.lastWarmStartImported() > 0)
-                    metrics.warmImportedClauses.inc(
-                        engine.lastWarmStartImported());
-                if (engine.lastSnapshot() != nullptr)
-                    storeSnapshot(request.problem, engine.lastSnapshot());
-            }
-            if (!engine.lastQueryUnknown()) return;
+            recordAnswer(Engine(compilation, effective)
+                             .run(request.kind, request.maxDesigns),
+                         request, effective, result);
+            if (request.kind == QueryKind::Enumerate)
+                detail = std::to_string(result.designs.size()) + " designs";
+            if (!gaveUp(result.verdict)) return;
             if (cancelRequested(effective)) {
                 result.verdict = Verdict::Cancelled;
                 metrics.cancelled.inc();
@@ -579,6 +509,50 @@ void Service::solveWithPolicy(const QueryRequest& request,
             throw;
         }
     }
+}
+
+void Service::recordAnswer(Answer answer, const QueryRequest& request,
+                           const QueryOptions& effective, QueryResult& result) {
+    ServiceMetrics& metrics = ServiceMetrics::get();
+    traceAnswer(answer, result.trace);
+    result.verdict = answer.verdict;
+    result.design = std::move(answer.design);
+    result.designs = std::move(answer.designs);
+    result.conflictingRules = std::move(answer.conflictingRules);
+    // The engine (and its stats) is per-attempt, so these are clean
+    // per-query increments, not cumulative re-counts.
+    metrics.satSubsumed.inc(answer.stats.subsumedClauses);
+    metrics.satEliminatedVars.inc(answer.stats.eliminatedVars);
+    metrics.satProbes.inc(answer.stats.probedLiterals);
+    metrics.satArenaGcs.inc(answer.stats.arenaGcs);
+    metrics.satArenaWaste.set(static_cast<double>(answer.stats.arenaWasteBytes));
+    if (answer.portfolio.has_value()) {
+        const smt::PortfolioStats& portfolio = *answer.portfolio;
+        metrics.portfolioQueries.inc();
+        metrics.portfolioShared.inc(portfolio.clausesShared);
+        metrics.portfolioImported.inc(portfolio.clausesImported);
+        metrics.portfolioLost.inc(portfolio.clausesLost);
+        if (portfolio.winner >= 0) {
+            ServiceMetrics::portfolioWins(portfolio.winnerConfig).inc();
+            metrics.portfolioCancelMs.observe(portfolio.cancelLatencyMs);
+        }
+    }
+    if (effective.captureSnapshot) {
+        result.trace.warmStartAttempted = effective.warmStart != nullptr;
+        metrics.warmImportedClauses.inc(answer.warmStartImported);
+        storeSnapshot(request.problem, std::move(answer.snapshot));
+    }
+}
+
+void Service::countWarmStartImport(std::size_t clauses) {
+    ServiceMetrics::get().warmImportedClauses.inc(clauses);
+}
+
+InprocessingTotals Service::inprocessingTotals() const {
+    const ServiceMetrics& metrics = ServiceMetrics::get();
+    return {metrics.satSubsumed.value(), metrics.satEliminatedVars.value(),
+            metrics.satProbes.value(), metrics.satArenaGcs.value(),
+            metrics.satArenaWaste.value()};
 }
 
 QueryResult Service::runTimed(const QueryRequest& request, double queueWaitMs,

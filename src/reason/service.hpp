@@ -157,6 +157,16 @@ struct QueryResult {
     QueryTrace trace;
 };
 
+/// Process-wide totals of the solver inprocessing counters (the lar_sat_*
+/// metric family), summed over every query the Service answered.
+struct InprocessingTotals {
+    std::uint64_t subsumed = 0;
+    std::uint64_t eliminatedVars = 0;
+    std::uint64_t probes = 0;
+    std::uint64_t arenaGcs = 0;
+    double arenaWasteBytes = 0.0; ///< the last query's solver (a gauge)
+};
+
 struct CacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -231,6 +241,13 @@ public:
     void storeSnapshot(const Problem& problem,
                        std::shared_ptr<const sat::SolverSnapshot> snapshot);
 
+    /// Counts clauses a what-if session imported from a warm-start snapshot
+    /// (sessions import at create(), outside the query path).
+    void countWarmStartImport(std::size_t clauses);
+
+    /// Reads the lar_sat_* counters this Service registers (for /statusz).
+    [[nodiscard]] InprocessingTotals inprocessingTotals() const;
+
 private:
     struct CacheKey {
         std::uint64_t problemHash = 0;
@@ -256,10 +273,10 @@ private:
         const QueryRequest& request, double queueWaitMs,
         std::optional<Clock::time_point> deadline,
         std::shared_ptr<InflightQuery> inflight = nullptr);
-    /// The solve attempt loop: retries on Unknown per RetryPolicy, falls
-    /// back Z3 → CDCL on backend failure. Fills result.verdict and the
-    /// verdict-dependent fields (and trace.stats / trace portfolio fields);
-    /// `detail` gets a human extra such as "3 designs" when one exists.
+    /// The solve attempt loop: one Engine::run per attempt, retries on
+    /// Unknown per RetryPolicy, falls back Z3 → CDCL on backend failure.
+    /// Fills result.verdict, the payload and the trace telemetry; `detail`
+    /// gets a human extra such as "3 designs" when one exists.
     /// `cancelFlag` (never null) overrides the request's own flag — it is
     /// the drain-registered flag runTimed chose. Throws on unrecoverable
     /// error.
@@ -268,6 +285,11 @@ private:
                          const std::optional<Clock::time_point>& deadline,
                          std::atomic<bool>* cancelFlag, QueryResult& result,
                          std::string& detail, InflightQuery* inflight);
+    /// Copies one attempt's Answer into `result` (verdict, payload, trace
+    /// telemetry) and the process metrics, and stores the exported
+    /// warm-start snapshot, if any.
+    void recordAnswer(Answer answer, const QueryRequest& request,
+                      const QueryOptions& effective, QueryResult& result);
     /// Registers an in-flight query's cancellation flag so cancelActive()
     /// can reach it. Returns false when the service is already draining —
     /// the query must report Shed instead of starting.

@@ -14,7 +14,7 @@
 //    "conflict_budget": -1, "propagation_budget": -1, "memory_budget_mb": -1,
 //    "trace": true, "progress_every_conflicts": 256, "portfolio_workers": 1}
 // A result object mirrors QueryResult: verdict + derived booleans, design
-// payloads, the error object, and (per request) a QueryTrace v6.
+// payloads, the error object, and (per request) a QueryTrace v7.
 #pragma once
 
 #include <vector>

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/fault_injector.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
@@ -20,10 +21,6 @@ struct SessionMetrics {
     obs::Counter& expired;
     obs::Counter& shed;
     obs::Counter& asks;
-    /// Shares the lar_warmstart_* family with ServiceMetrics (the registry
-    /// interns by name): session creates import snapshots themselves, not
-    /// through Service::run, so they account for their own clauses.
-    obs::Counter& warmImported;
     obs::Gauge& active;
     obs::Histogram& askLatencyMs;
 
@@ -41,9 +38,6 @@ struct SessionMetrics {
                             "Session creates refused by admission control"),
                 reg.counter("lar_session_asks_total",
                             "Variations answered across all sessions"),
-                reg.counter("lar_warmstart_clauses_imported_total",
-                            "Learnt clauses integrated from warm-start "
-                            "snapshots"),
                 reg.gauge("lar_session_active", "Live what-if sessions"),
                 reg.histogram("lar_session_ask_latency_ms",
                               "Per-ask latency inside SessionManager",
@@ -115,9 +109,7 @@ SessionManager::CreateResult SessionManager::create(const Problem& problem) {
     session->whatIf = std::make_unique<WhatIfSession>(compilation, query);
     result.warmStarted = session->whatIf->warmStarted();
     result.warmStartClauses = session->whatIf->warmStartImported();
-    if (result.warmStartClauses > 0) {
-        metrics.warmImported.inc(result.warmStartClauses);
-    }
+    service_.countWarmStartImport(result.warmStartClauses);
 
     {
         const std::lock_guard<std::mutex> lock(mutex_);
@@ -190,8 +182,8 @@ std::optional<SessionManager::AskOutcome> SessionManager::ask(
         const std::lock_guard<std::mutex> askLock(session->askMutex);
         inflight->phase.store(QueryPhase::Solve, std::memory_order_relaxed);
         askIndex = session->asks.fetch_add(1, std::memory_order_relaxed) + 1;
+        util::FaultInjector::global().maybeFault("session.ask");
         outcome.answer = session->whatIf->ask(variation);
-        outcome.trace.stats = session->whatIf->solveStats();
     }
     const double totalMs = timer.millis();
     askSpan.reset(); // close "ask" before the tree is exported
@@ -214,10 +206,8 @@ std::optional<SessionManager::AskOutcome> SessionManager::ask(
     outcome.trace.cacheHit = true; // the session *is* the warm compilation
     outcome.trace.solveMs = totalMs;
     outcome.trace.totalMs = totalMs;
-    outcome.trace.verdict = outcome.answer.verdict;
-    outcome.trace.stopReason = outcome.answer.stopReason;
+    traceAnswer(outcome.answer, outcome.trace);
     outcome.trace.warmStartAttempted = session->whatIf->warmStarted();
-    outcome.trace.warmStartClauses = session->whatIf->warmStartImported();
     outcome.trace.spans = spanTrace;
     service_.flightRecorder().record(outcome.trace);
 

@@ -73,8 +73,8 @@ public:
 
     /// Outcome of one ask (nullopt from ask() means unknown/expired id).
     struct AskOutcome {
-        WhatIfAnswer answer;
-        QueryTrace trace; ///< kind=Feasibility; stats cumulative per session
+        Answer answer;    ///< stats cumulative per session
+        QueryTrace trace; ///< kind=Feasibility, filled by traceAnswer()
     };
 
     /// The Service provides the compilation cache, the warm-start snapshot

@@ -3,19 +3,20 @@
 namespace lar::reason {
 
 WhatIfSession::WhatIfSession(const Problem& problem, const QueryOptions& options)
-    : session_(std::make_shared<const Compilation>(problem), options) {}
+    : WhatIfSession(std::make_shared<const Compilation>(problem), options) {}
 
 WhatIfSession::WhatIfSession(std::shared_ptr<const Compilation> compilation,
                              const QueryOptions& options)
-    : session_(std::move(compilation), options) {}
+    : options_(options), session_(std::move(compilation), options) {
+    options_.warmStart.reset(); // imported by the session; don't pin it
+}
 
-
-WhatIfAnswer WhatIfSession::ask(const Variation& variation) {
+Answer WhatIfSession::ask(const Variation& variation) {
     ++queries_;
     const Compilation& compilation = session_.compilation();
     smt::FormulaStore& store = session_.store();
     std::vector<smt::NodeId> assumptions;
-    WhatIfAnswer answer;
+    Answer answer;
 
     // Unknown names are a structured error, not an exception and not a
     // silent no-op: an assumption that maps to nothing would make the ask
@@ -45,34 +46,22 @@ WhatIfAnswer WhatIfSession::ask(const Variation& variation) {
         }
         assumptions.push_back(enabled ? var : store.mkNot(var));
     }
+    smt::Backend& backend = session_.backend();
     if (!answer.unknownNames.empty()) {
         answer.verdict = Verdict::Error;
-        return answer;
-    }
-
-    switch (session_.backend().check(assumptions)) {
-        case smt::CheckStatus::Sat:
-            answer.verdict = Verdict::Sat;
+    } else {
+        const smt::CheckStatus status = backend.check(assumptions);
+        answer.verdict = verdictOf(status, backend.lastStopReason(), options_);
+        if (status == smt::CheckStatus::Sat)
             answer.design = session_.extractDesign();
-            break;
-        case smt::CheckStatus::Unsat:
-            answer.verdict = Verdict::Unsat;
-            answer.conflictingRules = compilation.describeTracks(
-                session_.backend().unsatCore().tracks);
-            break;
-        case smt::CheckStatus::Unknown:
-            answer.stopReason = session_.backend().lastStopReason();
-            switch (answer.stopReason) {
-                case sat::StopReason::Deadline:
-                    answer.verdict = Verdict::TimedOut;
-                    break;
-                case sat::StopReason::Cancelled:
-                    answer.verdict = Verdict::Cancelled;
-                    break;
-                default: answer.verdict = Verdict::Unknown; break;
-            }
-            break;
+        else if (status == smt::CheckStatus::Unsat)
+            answer.conflictingRules =
+                compilation.describeTracks(backend.unsatCore().tracks);
+        else
+            answer.stopReason = backend.lastStopReason();
     }
+    answer.stats = backend.stats();
+    answer.warmStartImported = session_.warmStartImported();
     return answer;
 }
 

@@ -16,11 +16,11 @@
 #include <optional>
 #include <string>
 
+#include "reason/answer.hpp"
 #include "reason/compile.hpp"
 #include "reason/design.hpp"
 #include "reason/problem.hpp"
 #include "reason/query_options.hpp"
-#include "reason/trace.hpp"
 
 namespace lar::reason {
 
@@ -34,29 +34,6 @@ struct Variation {
     std::map<std::string, bool> options;
 };
 
-/// Answer to one variation, unified on the Verdict enum (the same
-/// authoritative outcome QueryResult/QueryTrace carry):
-///  * Sat       — feasible; `design` holds a witness;
-///  * Unsat     — infeasible; `conflictingRules` explains why;
-///  * TimedOut  — the deadline expired before a verdict;
-///  * Cancelled — the cancel flag was observed;
-///  * Unknown   — a non-deadline budget (conflicts/propagations/memory)
-///                gave out (`stopReason` carries the exact one);
-///  * Error     — the variation named entities the compilation doesn't know
-///                (`unknownNames` lists them); nothing was solved.
-struct WhatIfAnswer {
-    Verdict verdict = Verdict::Unknown;
-    /// Why a non-definitive ask stopped (None for Sat/Unsat/Error):
-    /// distinguishes budget-interrupted from deadline expiry.
-    sat::StopReason stopReason = sat::StopReason::None;
-    std::optional<Design> design;              ///< present when verdict == Sat
-    std::vector<std::string> conflictingRules; ///< present when verdict == Unsat
-    /// Entities the variation named that don't exist in the compilation
-    /// ("system/<name>", "hardware/<class>/<model>", "option/<name>");
-    /// non-empty exactly when verdict == Error.
-    std::vector<std::string> unknownNames;
-};
-
 class WhatIfSession {
 public:
     explicit WhatIfSession(const Problem& problem,
@@ -68,24 +45,20 @@ public:
 
 
     /// Answers a variation without recompiling. Repeated calls are
-    /// independent: assumptions do not accumulate. A variation naming
-    /// unknown systems/models/options returns Verdict::Error with the
-    /// offending names listed — it never reaches the solver (an unknown
-    /// name would otherwise map to no assumption and the ask would succeed
-    /// vacuously).
-    [[nodiscard]] WhatIfAnswer ask(const Variation& variation);
+    /// independent: assumptions do not accumulate. Sat carries a witness
+    /// design, Unsat the conflicting rules; a gave-up verdict carries the
+    /// stop reason. A variation naming unknown systems/models/options
+    /// returns Verdict::Error with the offending names listed — it never
+    /// reaches the solver (an unknown name would otherwise map to no
+    /// assumption and the ask would succeed vacuously). The answer's stats
+    /// are the session's cumulative counters.
+    [[nodiscard]] Answer ask(const Variation& variation);
 
     /// Number of variations answered so far (for reporting).
     [[nodiscard]] int queriesAnswered() const { return queries_; }
 
     [[nodiscard]] const Compilation& compilation() const {
         return session_.compilation();
-    }
-
-    /// Cumulative search counters of the session's backend (asks share one
-    /// backend instance, so these grow across asks).
-    [[nodiscard]] sat::SolverStats solveStats() const {
-        return session_.backend().stats();
     }
 
     /// True when the session started from an accepted warm-start snapshot.
@@ -102,6 +75,7 @@ public:
     }
 
 private:
+    QueryOptions options_;
     SolverSession session_;
     int queries_ = 0;
 };

@@ -163,41 +163,14 @@ std::string renderStatusz(const reason::Service& service,
     }
 
     // Solver inprocessing: how much the simplifier is earning its keep
-    // across all queries. Registration interns, so these are the same
-    // series the Service increments.
-    {
-        obs::Registry& reg = obs::Registry::global();
-        page += "\nsolver inprocessing:\n";
-        page += "  subsumed=" +
-                std::to_string(
-                    reg.counter("lar_sat_subsumed",
-                                "Clauses removed by inprocessing subsumption")
-                        .value()) +
-                "  eliminated_vars=" +
-                std::to_string(
-                    reg.counter("lar_sat_eliminated_vars",
-                                "Variables removed by bounded variable "
-                                "elimination")
-                        .value()) +
-                "  probes=" +
-                std::to_string(
-                    reg.counter("lar_sat_probes",
-                                "Literals probed by failed-literal probing")
-                        .value()) +
-                "\n";
-        page += "  arena_gcs=" +
-                std::to_string(
-                    reg.counter("lar_sat_arena_gcs",
-                                "Clause-arena compactions in query solvers")
-                        .value()) +
-                "  arena_waste_bytes=" +
-                std::to_string(static_cast<std::int64_t>(
-                    reg.gauge("lar_sat_arena_waste_bytes",
-                              "Dead clause bytes awaiting arena compaction "
-                              "(last query's solver)")
-                        .value())) +
-                "\n";
-    }
+    // across all queries.
+    const reason::InprocessingTotals sat = service.inprocessingTotals();
+    page += "\nsolver inprocessing:\n  subsumed=" + std::to_string(sat.subsumed) +
+            "  eliminated_vars=" + std::to_string(sat.eliminatedVars) +
+            "  probes=" + std::to_string(sat.probes) + "\n  arena_gcs=" +
+            std::to_string(sat.arenaGcs) + "  arena_waste_bytes=" +
+            std::to_string(static_cast<std::int64_t>(sat.arenaWasteBytes)) +
+            "\n";
 
     // Chaos visibility: any fault-injection site touched this process. A
     // healthy production instance prints nothing here.

@@ -61,7 +61,7 @@ reason::Variation variationFromJson(const json::Value& v) {
     return variation;
 }
 
-json::Value answerToJson(const reason::WhatIfAnswer& answer,
+json::Value answerToJson(const reason::Answer& answer,
                          const reason::QueryTrace* trace) {
     json::Value v;
     v["verdict"] = std::string(reason::verdictName(answer.verdict));

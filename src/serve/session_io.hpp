@@ -7,7 +7,7 @@
 //    "options":  {"<option name>": true|false, ...}}
 // All three maps are optional; an empty body asks the base problem.
 //
-// An answer mirrors WhatIfAnswer, unified on the Verdict enum:
+// An answer mirrors reason::Answer, unified on the Verdict enum:
 //   {"api": 1, "verdict": "sat"|..., "feasible": bool, "timed_out": bool,
 //    "stop_reason": "...",            // only when a budget/deadline stopped it
 //    "design": {...},                 // only when verdict == sat
@@ -17,7 +17,6 @@
 #pragma once
 
 #include "json/value.hpp"
-#include "reason/trace.hpp"
 #include "reason/whatif.hpp"
 
 namespace lar::serve {
@@ -30,7 +29,7 @@ namespace lar::serve {
 
 /// Serializes one answer (without the "api" stamp — apiResponse adds it).
 /// `trace` is included under "trace" when non-null.
-[[nodiscard]] json::Value answerToJson(const reason::WhatIfAnswer& answer,
+[[nodiscard]] json::Value answerToJson(const reason::Answer& answer,
                                        const reason::QueryTrace* trace);
 
 } // namespace lar::serve

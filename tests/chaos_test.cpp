@@ -289,6 +289,8 @@ TEST_F(ChaosTest, DebugFaultsEndpointAndStatuszShowArmedSites) {
     EXPECT_NE(resp.body.find("\"count\":0"), std::string::npos) << resp.body;
     EXPECT_EQ(client.get("/statusz").body.find("fault injection"),
               std::string::npos);
+    EXPECT_NE(client.get("/statusz").body.find("solver inprocessing"),
+              std::string::npos);
 
     util::FaultInjector::global().armProbability(net::kSiteRead, 0.05, 42);
     util::FaultInjector::global().armNthHit(net::kSiteConnect, 7);

@@ -245,11 +245,13 @@ TEST(PortfolioVerdictAgreementTest, FuzzCorpusFeasibilityMatchesSingleSolver) {
             const reason::FeasibilityReport expected = single.checkFeasible();
 
             reason::Engine raced(p, portfolioOptions(3));
-            const reason::FeasibilityReport actual = raced.checkFeasible();
+            const reason::Answer actual =
+                raced.run(reason::QueryKind::Feasibility);
+            const bool actualFeasible = actual.verdict == reason::Verdict::Sat;
 
-            EXPECT_EQ(actual.feasible, expected.feasible)
+            EXPECT_EQ(actualFeasible, expected.feasible)
                 << "seed " << seed << " round " << round;
-            const auto& pstats = raced.lastPortfolioStats();
+            const auto& pstats = actual.portfolio;
             ASSERT_TRUE(pstats.has_value());
             EXPECT_EQ(pstats->workers, 3);
             EXPECT_GE(pstats->winner, 0);

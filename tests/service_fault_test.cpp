@@ -531,6 +531,29 @@ TEST_F(ServiceFaultTest, CacheEvictionsAreCounted) {
     EXPECT_EQ(evictions.value() - before, 1u);
 }
 
+TEST_F(ServiceFaultTest, SatAndWarmStartCountersUseTotalSuffix) {
+    Service service;
+    (void)service.run(request(QueryKind::Feasibility, caseStudyProblem()));
+    const std::string text = obs::Registry::global().renderPrometheus();
+    for (const char* name :
+         {"lar_sat_subsumed_total", "lar_sat_eliminated_vars_total",
+          "lar_sat_probes_total", "lar_sat_arena_gcs_total",
+          "lar_warmstart_clauses_imported_total"})
+        EXPECT_NE(text.find(std::string("# TYPE ") + name + " counter\n"),
+                  std::string::npos)
+            << name;
+    for (const char* stale : {"lar_sat_subsumed ", "lar_sat_eliminated_vars ",
+                              "lar_sat_probes ", "lar_sat_arena_gcs "})
+        EXPECT_EQ(text.find(std::string("\n") + stale), std::string::npos)
+            << stale;
+    // /statusz reads the same series through the Service's handles.
+    EXPECT_EQ(service.inprocessingTotals().probes,
+              obs::Registry::global()
+                  .counter("lar_sat_probes_total",
+                           "Literals probed by failed-literal probing")
+                  .value());
+}
+
 // ------------------------------------------------------- injector itself
 
 TEST(FaultInjector, ProbabilityStreamIsDeterministic) {

@@ -244,7 +244,7 @@ TEST_F(ServiceTest, SharedCompilationServesEngineAndWhatIf) {
     WhatIfSession whatIf(compilation);
     Variation variation;
     variation.systems["Sonata"] = true;
-    const WhatIfAnswer answer = whatIf.ask(variation);
+    const Answer answer = whatIf.ask(variation);
     EXPECT_TRUE(answer.verdict == Verdict::Sat);
     ASSERT_TRUE(answer.design.has_value());
     EXPECT_TRUE(answer.design->uses("Sonata"));

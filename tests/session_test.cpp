@@ -5,12 +5,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "catalog/catalog.hpp"
 #include "reason/service.hpp"
 #include "reason/session.hpp"
+#include "util/fault_injector.hpp"
 
 namespace lar::reason {
 namespace {
@@ -170,6 +172,33 @@ TEST_F(SessionTest, DrainEvictsEverythingAndServiceDrainSheds) {
     EXPECT_FALSE(manager.create(caseStudy()).shed);
     service.beginDrain();
     EXPECT_TRUE(manager.create(caseStudy()).shed);
+}
+
+TEST_F(SessionTest, DrainCancelsInFlightAsk) {
+    Service service(lightService());
+    SessionManager manager(service);
+    const auto created = manager.create(caseStudy());
+    ASSERT_FALSE(created.shed);
+
+    // Hold the ask inside its solve phase long enough for drain() to land.
+    util::FaultInjector& injector = util::FaultInjector::global();
+    injector.reset();
+    injector.armDelayMs("session.ask", 300);
+    std::optional<SessionManager::AskOutcome> outcome;
+    std::thread asker([&] { outcome = manager.ask(created.id, {}); });
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (injector.hits("session.ask") == 0 &&
+           std::chrono::steady_clock::now() < giveUp)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    manager.drain();
+    asker.join();
+    injector.reset();
+
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->answer.verdict, Verdict::Cancelled);
+    EXPECT_EQ(outcome->trace.verdict, Verdict::Cancelled);
+    EXPECT_EQ(manager.activeSessions(), 0U);
 }
 
 TEST_F(SessionTest, CloseChainsWarmStartToNextSession) {

@@ -1,0 +1,84 @@
+// DESIGN.md §9 documents the toJson(QueryTrace) schema; this test keeps the
+// document honest. It serializes a trace with every optional block present
+// and fails when a top-level key has no row in the §9 table, or when the
+// section states a schema version other than kQueryTraceSchemaVersion.
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <regex>
+#include <set>
+#include <string>
+
+#include "obs/span.hpp"
+#include "reason/trace.hpp"
+#include "util/file.hpp"
+
+namespace lar::reason {
+namespace {
+
+/// The text of DESIGN.md from "## 9." up to the next "## " heading.
+std::string section9() {
+    const std::string doc = util::readFile(LAR_DESIGN_MD);
+    const std::size_t begin = doc.find("\n## 9. ");
+    EXPECT_NE(begin, std::string::npos) << "DESIGN.md has no section 9";
+    if (begin == std::string::npos) return "";
+    const std::size_t end = doc.find("\n## ", begin + 1);
+    return doc.substr(begin, end == std::string::npos ? end : end - begin);
+}
+
+/// A trace with every optional top-level block populated.
+QueryTrace fullTrace() {
+    QueryTrace trace;
+    trace.id = "q";
+    trace.traceId = "0123456789abcdef0123456789abcdef";
+    trace.verdict = Verdict::Error;
+    trace.verdictDetail = "3 designs";
+    trace.errorKind = "error";
+    trace.errorMessage = "boom";
+    trace.stopReason = sat::StopReason::Deadline;
+    trace.warmStartAttempted = true;
+    trace.portfolioWorkers = 2;
+    trace.stats.simplifyRounds = 1;
+    // A one-span budget with two spans opened: the tree is truncated.
+    auto spans = std::make_shared<obs::Trace>(1);
+    {
+        const obs::ScopedTrace scoped(*spans);
+        const obs::Span outer("query");
+        const obs::Span inner("solve");
+    }
+    trace.spans = spans;
+    return trace;
+}
+
+TEST(TraceSchemaDoc, Section9DocumentsTheEmittedVersion) {
+    const std::string section = section9();
+    std::smatch m;
+    ASSERT_TRUE(std::regex_search(section, m,
+                                  std::regex(R"re("schema": (\d+))re")));
+    EXPECT_EQ(std::stoi(m[1]), kQueryTraceSchemaVersion);
+    ASSERT_TRUE(std::regex_search(
+        section, m, std::regex(R"(this table documents version (\d+))")));
+    EXPECT_EQ(std::stoi(m[1]), kQueryTraceSchemaVersion);
+}
+
+TEST(TraceSchemaDoc, Section9HasARowForEveryTopLevelKey) {
+    const std::string section = section9();
+    std::set<std::string> documented;
+    const std::regex row(R"(\n\| `([a-z_]+)` \|)");
+    for (auto it = std::sregex_iterator(section.begin(), section.end(), row);
+         it != std::sregex_iterator(); ++it)
+        documented.insert((*it)[1]);
+
+    const json::Value v = toJson(fullTrace());
+    for (const char* optional :
+         {"trace_id", "verdict_detail", "stop_reason", "warm_start",
+          "portfolio", "error", "simplify", "spans", "spans_truncated"})
+        EXPECT_TRUE(v.asObject().contains(optional))
+            << "fullTrace() no longer populates " << optional;
+    for (const auto& [key, value] : v.asObject().entries())
+        EXPECT_TRUE(documented.count(key) == 1)
+            << "DESIGN.md §9 has no row for \"" << key << "\"";
+}
+
+} // namespace
+} // namespace lar::reason

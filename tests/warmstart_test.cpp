@@ -188,8 +188,8 @@ TEST(WarmStartOracle, WhatIfSessionVerdictsAgreeWarmVsCold) {
                     systems[vary.below(systems.size())];
                 variation.systems[pick.name] = vary.chance(0.5);
             }
-            const reason::WhatIfAnswer a = cold.ask(variation);
-            const reason::WhatIfAnswer b = warm.ask(variation);
+            const reason::Answer a = cold.ask(variation);
+            const reason::Answer b = warm.ask(variation);
             EXPECT_EQ(a.verdict, b.verdict)
                 << "seed " << seed << " round " << round;
         }

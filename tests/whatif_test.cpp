@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <vector>
+
 #include "catalog/catalog.hpp"
 #include "kb/objectives.hpp"
 #include "reason/engine.hpp"
@@ -38,7 +41,7 @@ kb::KnowledgeBase* WhatIfTest::kb_ = nullptr;
 TEST_F(WhatIfTest, EmptyVariationMatchesBaseFeasibility) {
     const Problem p = caseStudy();
     WhatIfSession session(p);
-    const WhatIfAnswer answer = session.ask({});
+    const Answer answer = session.ask({});
     EXPECT_TRUE(answer.verdict == Verdict::Sat);
     ASSERT_TRUE(answer.design.has_value());
     EXPECT_TRUE(validateDesign(p, *answer.design).empty());
@@ -57,7 +60,7 @@ TEST_F(WhatIfTest, AnswersMatchFreshEnginePins) {
     for (const auto& c : cases) {
         Variation variation;
         variation.systems[c.system] = c.include;
-        const WhatIfAnswer incremental = session.ask(variation);
+        const Answer incremental = session.ask(variation);
 
         Problem pinned = p;
         pinned.pinnedSystems[c.system] = c.include;
@@ -83,7 +86,7 @@ TEST_F(WhatIfTest, HardwarePinVariation) {
     WhatIfSession session(p);
     Variation tofino;
     tofino.hardwareModels[kb::HardwareClass::Switch] = "Intel Tofino2 32x100G";
-    const WhatIfAnswer a = session.ask(tofino);
+    const Answer a = session.ask(tofino);
     EXPECT_TRUE(a.verdict == Verdict::Sat);
     ASSERT_TRUE(a.design.has_value());
     EXPECT_EQ(a.design->hardwareModel.at(kb::HardwareClass::Switch),
@@ -92,7 +95,7 @@ TEST_F(WhatIfTest, HardwarePinVariation) {
     Variation catalyst;
     catalyst.hardwareModels[kb::HardwareClass::Switch] =
         "Cisco Catalyst 9500-40X"; // non-P4: bound unsatisfiable
-    const WhatIfAnswer b = session.ask(catalyst);
+    const Answer b = session.ask(catalyst);
     EXPECT_FALSE(b.verdict == Verdict::Sat);
     EXPECT_FALSE(b.conflictingRules.empty());
 }
@@ -119,7 +122,7 @@ TEST_F(WhatIfTest, UnknownNamesReportedAsStructuredError) {
     Variation bad;
     bad.systems["Ghost"] = true;
     bad.options["phantom_opt"] = true;
-    const WhatIfAnswer a = session.ask(bad);
+    const Answer a = session.ask(bad);
     EXPECT_EQ(a.verdict, Verdict::Error);
     EXPECT_FALSE(a.verdict != Verdict::Error);
     EXPECT_FALSE(a.verdict == Verdict::Sat); // a typo must never read as feasible
@@ -129,13 +132,30 @@ TEST_F(WhatIfTest, UnknownNamesReportedAsStructuredError) {
 
     Variation badHw;
     badHw.hardwareModels[kb::HardwareClass::Nic] = "Ghost NIC";
-    const WhatIfAnswer b = session.ask(badHw);
+    const Answer b = session.ask(badHw);
     EXPECT_EQ(b.verdict, Verdict::Error);
     ASSERT_EQ(b.unknownNames.size(), 1u);
     EXPECT_EQ(b.unknownNames[0], "hardware/nic/Ghost NIC");
 
     // The session stays usable after a rejected variation.
     EXPECT_EQ(session.ask({}).verdict, Verdict::Sat);
+}
+
+TEST_F(WhatIfTest, PreCancelledAskIsCancelledOnEveryBackend) {
+    std::vector<smt::BackendKind> backends = {smt::BackendKind::Cdcl};
+#ifdef LAR_HAVE_Z3
+    backends.push_back(smt::BackendKind::Z3);
+#endif
+    for (const smt::BackendKind backend : backends) {
+        std::atomic<bool> cancel{true};
+        QueryOptions options = withBackend(backend);
+        options.cancelFlag = &cancel;
+        WhatIfSession session(caseStudy(), options);
+        const Answer a = session.ask({});
+        EXPECT_EQ(a.verdict, Verdict::Cancelled)
+            << "backend " << static_cast<int>(backend);
+        EXPECT_FALSE(a.design.has_value());
+    }
 }
 
 TEST_F(WhatIfTest, ManyVariationsStayConsistent) {
