@@ -172,17 +172,24 @@ run_session() {
 run_obs() {
     # The observability surface end to end: the flight-recorder retention /
     # in-flight-registry suite (plain and under ThreadSanitizer, since the
-    # recorder is written by solver workers while debug endpoints scan it),
-    # then a live larserved smoke: a traced query submitted with a
-    # client-supplied X-Lar-Trace-Id must be retrievable by that exact ID
-    # from /v1/debug/traces/{id}, and the introspection endpoints
-    # (/v1/debug/*, /statusz, /version) must all answer.
-    echo "== obs: flight recorder unit + TSan + live introspection smoke =="
+    # recorder is written by solver workers while debug endpoints scan it);
+    # the query-lifecycle checks — every Service outcome (answered, failed,
+    # cancelled/expired before start, drain- and admission-shed, failed
+    # before start) traced, recorded and counted once, plus the
+    # service_fault suite under TSan and the /v1/batch wire case whose
+    # failed-before-start item must carry its trace and be listed by
+    # /v1/debug/traces?verdict=error; then a live larserved smoke: a traced
+    # query submitted with a client-supplied X-Lar-Trace-Id must be
+    # retrievable by that exact ID from /v1/debug/traces/{id}, and the
+    # introspection endpoints (/v1/debug/*, /statusz, /version) must all
+    # answer.
+    echo "== obs: flight recorder + query lifecycle + live introspection smoke =="
     cmake -B "$root/build" -S "$root"
     cmake --build "$root/build" -j"$jobs" --target \
-        flight_recorder_test flight_recorder_test_tsan larserved larctl
+        flight_recorder_test flight_recorder_test_tsan service_fault_test \
+        service_fault_test_tsan chaos_test larserved larctl
     (cd "$root/build" && ctest --output-on-failure -R \
-        '^FlightRecorder|^flight_recorder_tsan$')
+        '^FlightRecorder|^flight_recorder_tsan$|^ServiceFaultTest\.EveryOutcomeIsTracedRecordedAndCountedOnce$|^service_fault_tsan$|^ChaosTest\.BatchItemFailingBeforeStartIsTracedAndRetained$')
 
     echo "-- live smoke: trace-id round trip + debug endpoints --"
     smoke="$root/build/obs_smoke"

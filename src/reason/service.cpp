@@ -72,6 +72,8 @@ struct ServiceMetrics {
     obs::Counter& satProbes;
     obs::Counter& satArenaGcs;
     obs::Gauge& satArenaWaste;
+    obs::Counter& sessionAsks;
+    obs::Histogram& askLatencyMs;
     obs::Counter* queriesByKind[5];
 
     [[nodiscard]] obs::Counter& queries(QueryKind kind) {
@@ -93,9 +95,9 @@ struct ServiceMetrics {
             const std::vector<double>& msBounds = obs::latencyBucketsMs();
             ServiceMetrics built{
                 reg.counter("lar_cache_hits_total",
-                            "Compilation cache hits in Service::obtain"),
+                            "Compilation cache hits in Service::compilationFor"),
                 reg.counter("lar_cache_misses_total",
-                            "Compilation cache misses in Service::obtain"),
+                            "Compilation cache misses in Service::compilationFor"),
                 reg.counter("lar_service_cache_evictions_total",
                             "Compilations evicted from the Service LRU cache"),
                 reg.counter("lar_queries_shed_total",
@@ -159,12 +161,17 @@ struct ServiceMetrics {
                 reg.gauge("lar_sat_arena_waste_bytes",
                           "Dead clause bytes awaiting arena compaction "
                           "(last query's solver)"),
+                reg.counter("lar_session_asks_total",
+                            "Variations answered across all sessions"),
+                reg.histogram("lar_session_ask_latency_ms",
+                              "Per-ask latency inside SessionManager", msBounds),
                 {}};
             for (const QueryKind kind :
                  {QueryKind::Feasibility, QueryKind::Explain, QueryKind::Synthesize,
                   QueryKind::Optimize, QueryKind::Enumerate})
                 built.queriesByKind[static_cast<int>(kind)] =
-                    &reg.counter("lar_queries_total", "Queries answered, by kind",
+                    &reg.counter("lar_queries_total",
+                                 "Query results returned by Service, by kind",
                                  {{"kind", toString(kind)}});
             return built;
         }();
@@ -223,9 +230,8 @@ Service::Service(const ServiceOptions& options)
             "Service: retry.maxAttempts must be >= 1");
 }
 
-std::shared_ptr<const Compilation> Service::obtain(const Problem& problem,
-                                                   bool& cacheHit,
-                                                   double& compileMs) {
+std::shared_ptr<const Compilation> Service::compilationFor(
+    const Problem& problem, bool& cacheHit, double& compileMs) {
     const CacheKey key = fingerprint(problem);
     {
         const std::lock_guard<std::mutex> lock(cacheMutex_);
@@ -269,12 +275,7 @@ std::shared_ptr<const Compilation> Service::compilationFor(
     const Problem& problem) {
     bool hit = false;
     double ms = 0.0;
-    return obtain(problem, hit, ms);
-}
-
-std::shared_ptr<const Compilation> Service::compilationFor(
-    const Problem& problem, bool& cacheHit, double& compileMs) {
-    return obtain(problem, cacheHit, compileMs);
+    return compilationFor(problem, hit, ms);
 }
 
 std::shared_ptr<const sat::SolverSnapshot> Service::snapshotFor(
@@ -320,30 +321,8 @@ QueryResult Service::run(const QueryRequest& request) {
     if (request.options.timeoutMs > 0)
         deadline = Clock::now() +
                    std::chrono::milliseconds(request.options.timeoutMs);
-    return runTimed(request, /*queueWaitMs=*/0.0, deadline);
-}
-
-QueryResult Service::makeShedResult(const QueryRequest& request) {
-    QueryResult result;
-    result.id = request.id;
-    result.kind = request.kind;
-    result.verdict = Verdict::Shed;
-    ServiceMetrics::get().shed.inc();
-    std::optional<util::ScopedLogTraceId> logScope;
-    if (!request.traceId.empty()) logScope.emplace(request.traceId);
-    util::logLineJson(util::LogLevel::Info, "query_done",
-                      {{"id", result.id},
-                       {"kind", toString(request.kind)},
-                       {"verdict", "shed"}});
-    result.trace.id = request.id;
-    result.trace.traceId = request.traceId;
-    result.trace.kind = request.kind;
-    result.trace.backend = request.options.backend;
-    result.trace.verdict = Verdict::Shed;
-    // Shed queries are exactly what an overloaded operator greps for: they
-    // land in the flight recorder (pinned class) like every other outcome.
-    recorder_.record(result.trace);
-    return result;
+    QueryScope scope(*this, request, request.id);
+    return runTimed(scope, request, deadline);
 }
 
 unsigned Service::claimSolveThreads(int requested) {
@@ -415,8 +394,7 @@ void Service::solveWithPolicy(const QueryRequest& request,
                               std::shared_ptr<const Compilation> compilation,
                               const std::optional<Clock::time_point>& deadline,
                               std::atomic<bool>* cancelFlag,
-                              QueryResult& result, std::string& detail,
-                              InflightQuery* inflight) {
+                              QueryResult& result, InflightQuery& inflight) {
     ServiceMetrics& metrics = ServiceMetrics::get();
     QueryOptions effective = request.options;
     effective.cancelFlag = cancelFlag;
@@ -435,9 +413,7 @@ void Service::solveWithPolicy(const QueryRequest& request,
     } threadsRelease{*this, claimed};
     effective.portfolioWorkers = static_cast<int>(claimed);
     result.trace.portfolioWorkers = static_cast<int>(claimed);
-    if (inflight != nullptr)
-        inflight->workers.store(static_cast<int>(claimed),
-                                std::memory_order_relaxed);
+    inflight.workers.store(static_cast<int>(claimed), std::memory_order_relaxed);
     if (portfolioRequested) metrics.portfolioWidth.observe(claimed);
 
     // Warm-start reuse: single-worker CDCL queries on a recently-seen
@@ -473,11 +449,11 @@ void Service::solveWithPolicy(const QueryRequest& request,
                              .run(request.kind, request.maxDesigns),
                          request, effective, result);
             if (request.kind == QueryKind::Enumerate)
-                detail = std::to_string(result.designs.size()) + " designs";
+                result.trace.verdictDetail =
+                    std::to_string(result.designs.size()) + " designs";
             if (!gaveUp(result.verdict)) return;
             if (cancelRequested(effective)) {
                 result.verdict = Verdict::Cancelled;
-                metrics.cancelled.inc();
                 return;
             }
             const bool deadlineSpent =
@@ -555,55 +531,96 @@ InprocessingTotals Service::inprocessingTotals() const {
             metrics.satArenaWaste.value()};
 }
 
-QueryResult Service::runTimed(const QueryRequest& request, double queueWaitMs,
-                              std::optional<Clock::time_point> deadline,
-                              std::shared_ptr<InflightQuery> inflight) {
-    util::Stopwatch totalTimer;
-    QueryResult result;
-    result.id = request.id;
-    result.kind = request.kind;
-
+QueryScope::QueryScope(Service& service, const QueryRequest& request,
+                       std::string id, std::shared_ptr<InflightQuery> admitted,
+                       std::string sessionId)
+    : service_(service), request_(request), sessionId_(std::move(sessionId)),
+      inflight_(std::move(admitted)), spanTrace_(request.requestTrace) {
+    result_.id = std::move(id);
+    result_.kind = request.kind;
     // The request's trace id becomes this thread's ambient log identity for
-    // the query's whole execution — query_done and every line below it join
-    // the server's http_request line on one grep.
-    std::optional<util::ScopedLogTraceId> logScope;
-    if (!request.traceId.empty()) logScope.emplace(request.traceId);
-
-    // In-flight registry: run() admits here; runBatch admits at submission
-    // (so queue wait is visible as the "queued" phase) and passes the entry.
-    if (inflight == nullptr)
-        inflight = recorder_.admit(request.id, request.traceId,
-                                   /*sessionId=*/"", request.kind);
-    struct InflightGuard {
-        FlightRecorder& recorder;
-        const std::shared_ptr<InflightQuery>& entry;
-        ~InflightGuard() { recorder.finish(entry); }
-    } inflightGuard{recorder_, inflight};
-
-    // Span collection per query: always-on while instrumentation is enabled
-    // (the flight recorder wants spans whether or not the client asked for a
-    // trace in its response). The query joins the request's externally-owned
-    // trace when the HTTP layer supplied one — nesting under its open "http"
-    // span when that context is already installed on this thread — and
-    // otherwise installs a fresh Trace, so everything below — Compilation
-    // ctor ("compile"), Engine ("solve"), backend checks and their progress
-    // samples — nests under "query".
-    std::shared_ptr<obs::Trace> spanTrace = request.requestTrace;
-    std::optional<obs::ScopedTrace> scopedTrace;
-    std::optional<obs::Span> querySpan;
+    // the query's whole execution — the done line and every line below it
+    // join the server's http_request line on one grep.
+    if (!request.traceId.empty()) logScope_.emplace(request.traceId);
+    if (inflight_ == nullptr)
+        inflight_ = service_.flightRecorder().admit(
+            result_.id, request.traceId, sessionId_, request.kind);
+    // Span collection is always on while instrumentation is enabled (the
+    // flight recorder wants spans whether or not the client asked for a
+    // trace in its response), so everything below — Compilation ctor
+    // ("compile"), Engine ("solve"), backend checks and their progress
+    // samples — nests under the root span.
     if (obs::enabled()) {
-        if (spanTrace == nullptr) spanTrace = std::make_shared<obs::Trace>();
-        if (obs::currentContext().trace != spanTrace.get())
-            scopedTrace.emplace(*spanTrace);
-        querySpan.emplace("query");
+        if (spanTrace_ == nullptr) spanTrace_ = std::make_shared<obs::Trace>();
+        if (obs::currentContext().trace != spanTrace_.get())
+            scopedTrace_.emplace(*spanTrace_);
+        rootSpan_.emplace(sessionId_.empty() ? "query" : "ask");
     }
+}
+
+QueryScope::~QueryScope() { service_.flightRecorder().finish(inflight_); }
+
+void QueryScope::fail(const std::exception& e) {
+    result_.verdict = Verdict::Error;
+    result_.error.errorKind = errorKindOf(e);
+    result_.error.message = e.what();
+}
+
+QueryResult QueryScope::finish() {
+    rootSpan_.reset(); // close the root span before exporting the tree
+    scopedTrace_.reset();
+    service_.flightRecorder().finish(std::exchange(inflight_, nullptr));
+
+    // The trace is filled whether or not the client asked for it in the
+    // response: the flight recorder retains it either way.
+    QueryTrace& trace = result_.trace;
+    trace.id = result_.id;
+    trace.traceId = request_.traceId;
+    trace.kind = request_.kind;
+    trace.backend = request_.options.backend;
+    trace.totalMs = timer_.millis();
+    trace.verdict = result_.verdict;
+    trace.retries = result_.retries;
+    trace.backendFellBack = result_.backendFellBack;
+    trace.errorKind = result_.error.errorKind;
+    trace.errorMessage = result_.error.message;
+    trace.spans = spanTrace_;
 
     ServiceMetrics& metrics = ServiceMetrics::get();
-    bool cacheHit = false;
-    double compileMs = 0.0;
-    double solveMs = 0.0;
-    std::string detail;
+    if (sessionId_.empty()) {
+        metrics.queries(trace.kind).inc();
+        metrics.queryLatencyMs.observe(trace.totalMs);
+    } else {
+        metrics.sessionAsks.inc();
+        metrics.askLatencyMs.observe(trace.totalMs);
+    }
+    if (trace.queueWaitMs > 0.0) metrics.queueWaitMs.observe(trace.queueWaitMs);
+    if (trace.verdict == Verdict::Shed) metrics.shed.inc();
+    if (trace.verdict == Verdict::Cancelled) metrics.cancelled.inc();
+    if (!trace.errorKind.empty()) metrics.failed.inc();
 
+    util::logLineJson(util::LogLevel::Info,
+                      sessionId_.empty() ? "query_done" : "session_ask",
+                      {{"id", trace.id},
+                       {"kind", toString(trace.kind)},
+                       {"cache", trace.cacheHit ? "hit" : "miss"},
+                       {"verdict", verdictName(trace.verdict)},
+                       {"total_ms", trace.totalMs},
+                       {"queue_wait_ms", trace.queueWaitMs},
+                       {"retries", trace.retries},
+                       {"cancelled", trace.verdict == Verdict::Cancelled},
+                       {"backend_fallback", trace.backendFellBack},
+                       {"error", trace.errorKind}});
+    service_.flightRecorder().record(trace);
+    // The caller declined a trace in its result: hand back an empty one
+    // (the recorder's copy above is the surviving record).
+    if (!request_.options.collectTrace) trace = QueryTrace{};
+    return std::move(result_);
+}
+
+QueryResult Service::runTimed(QueryScope& scope, const QueryRequest& request,
+                              std::optional<Clock::time_point> deadline) {
+    QueryResult& result = scope.result();
     // Drain/cancel plumbing: every admitted query solves under a cancel
     // flag the Service can reach — the caller's when one was supplied, this
     // stack slot otherwise (safe: the query is synchronous on this thread).
@@ -616,87 +633,37 @@ QueryResult Service::runTimed(const QueryRequest& request, double queueWaitMs,
         if (cancelRequested(request.options)) {
             // Cancelled while queued: report without doing any work.
             result.verdict = Verdict::Cancelled;
-            metrics.cancelled.inc();
         } else if (deadline.has_value() && millisUntil(*deadline) <= 0.0) {
             // Expired while queued: timed out without solving.
             result.verdict = Verdict::TimedOut;
-            metrics.deadlineExpired.inc();
+            ServiceMetrics::get().deadlineExpired.inc();
         } else if (!registerActive(cancelFlag)) {
             // The service began draining before this query started: shed,
             // exactly like admission control (the work was never attempted).
             result.verdict = Verdict::Shed;
-            metrics.shed.inc();
         } else {
             struct ActiveGuard {
                 Service& service;
                 std::atomic<bool>* flag;
                 ~ActiveGuard() { service.unregisterActive(flag); }
             } activeGuard{*this, cancelFlag};
-            inflight->phase.store(QueryPhase::Compile,
-                                  std::memory_order_relaxed);
-            const std::shared_ptr<const Compilation> compilation =
-                obtain(request.problem, cacheHit, compileMs);
-            inflight->phase.store(QueryPhase::Solve, std::memory_order_relaxed);
+            InflightQuery& inflight = scope.inflight();
+            inflight.phase.store(QueryPhase::Compile, std::memory_order_relaxed);
+            const std::shared_ptr<const Compilation> compilation = compilationFor(
+                request.problem, result.trace.cacheHit, result.trace.compileMs);
+            inflight.phase.store(QueryPhase::Solve, std::memory_order_relaxed);
             util::Stopwatch solveTimer;
             // solveWithPolicy re-checks the deadline, so compile time is
             // deducted from the solver's budget automatically.
             solveWithPolicy(request, compilation, deadline, cancelFlag, result,
-                            detail, inflight.get());
-            solveMs = solveTimer.millis();
+                            inflight);
+            result.trace.solveMs = solveTimer.millis();
         }
     } catch (const std::exception& e) {
         // Failure isolation: no query ever throws out of the Service.
-        result.verdict = Verdict::Error;
-        result.error.errorKind = errorKindOf(e);
-        result.error.message = e.what();
-        metrics.failed.inc();
+        scope.fail(e);
     }
-
-    querySpan.reset(); // close "query" before exporting the tree
-    scopedTrace.reset();
-    const double totalMs = totalTimer.millis();
-
-    metrics.queries(request.kind).inc();
-    metrics.queryLatencyMs.observe(totalMs);
-    if (queueWaitMs > 0.0) metrics.queueWaitMs.observe(queueWaitMs);
-
-    util::logLineJson(util::LogLevel::Info, "query_done",
-                      {{"id", result.id},
-                       {"kind", toString(request.kind)},
-                       {"cache", cacheHit ? "hit" : "miss"},
-                       {"verdict", verdictName(result.verdict)},
-                       {"total_ms", totalMs},
-                       {"queue_wait_ms", queueWaitMs},
-                       {"retries", result.retries},
-                       {"cancelled", result.verdict == Verdict::Cancelled},
-                       {"backend_fallback", result.backendFellBack},
-                       {"error", result.error.errorKind}});
-
-    // The trace is filled whether or not the client asked for it in the
-    // response: the flight recorder retains it either way. resultToJson
-    // still gates the wire payload on the request's collectTrace.
-    QueryTrace& trace = result.trace;
-    trace.id = request.id;
-    trace.traceId = request.traceId;
-    trace.kind = request.kind;
-    trace.backend = request.options.backend;
-    trace.cacheHit = cacheHit;
-    trace.compileMs = compileMs;
-    trace.solveMs = solveMs;
-    trace.totalMs = totalMs;
-    trace.verdict = result.verdict;
-    trace.verdictDetail = std::move(detail);
-    trace.queueWaitMs = queueWaitMs;
-    trace.retries = result.retries;
-    trace.backendFellBack = result.backendFellBack;
-    trace.errorKind = result.error.errorKind;
-    trace.errorMessage = result.error.message;
-    trace.spans = std::move(spanTrace);
-    recorder_.record(trace);
-    // The caller declined a trace in its result: hand back an empty one
-    // (the recorder's copy above is the surviving record).
-    if (!request.options.collectTrace) result.trace = QueryTrace{};
-    return result;
+    return scope.finish();
 }
 
 std::vector<QueryResult> Service::runBatch(
@@ -723,6 +690,7 @@ std::vector<QueryResult> Service::runBatch(
 
     for (std::size_t i = 0; i < requests.size(); ++i) {
         const QueryRequest& request = requests[i];
+        std::string id = request.id.empty() ? std::to_string(i) : request.id;
         std::optional<Clock::time_point> deadline;
         if (request.options.timeoutMs > 0)
             deadline = submitted +
@@ -731,9 +699,10 @@ std::vector<QueryResult> Service::runBatch(
         if (options_.maxQueueDepth > 0 &&
             queuedDepth_.load(std::memory_order_acquire) >= options_.maxQueueDepth) {
             if (options_.shedPolicy == ShedPolicy::RejectNew) {
-                slots[i].state.store(kShed, std::memory_order_release);
+                QueryScope scope(*this, request, std::move(id));
+                scope.result().verdict = Verdict::Shed;
                 std::promise<QueryResult> ready;
-                ready.set_value(makeShedResult(request));
+                ready.set_value(scope.finish());
                 futures.push_back(ready.get_future());
                 continue;
             }
@@ -753,10 +722,12 @@ std::vector<QueryResult> Service::runBatch(
         // Join the in-flight registry at submission: queue wait is visible
         // to GET /v1/debug/inflight as the "queued" phase.
         std::shared_ptr<InflightQuery> inflight = recorder_.admit(
-            request.id, request.traceId, /*sessionId=*/"", request.kind);
+            id, request.traceId, /*sessionId=*/"", request.kind);
         futures.push_back(pool_.submit([this, &request, &slots, i,
-                                        context, submitted, deadline,
-                                        inflight]() {
+                                        id = std::move(id), context,
+                                        submitted, deadline, inflight]() {
+            const obs::ScopedContext scoped(context);
+            QueryScope scope(*this, request, id, inflight);
             try {
                 // Latency-injection point (tests saturate the queue with
                 // it); fires while the task still counts as queued, so a
@@ -766,43 +737,31 @@ std::vector<QueryResult> Service::runBatch(
                 if (!slots[i].state.compare_exchange_strong(
                         expected, kRunning, std::memory_order_acq_rel)) {
                     // Shed while waiting: report it, never drop silently.
-                    recorder_.finish(inflight);
-                    return makeShedResult(request);
+                    scope.result().verdict = Verdict::Shed;
+                    return scope.finish();
                 }
-                queuedDepth_.fetch_sub(1, std::memory_order_acq_rel);
-                const obs::ScopedContext scoped(context);
-                const double waitMs =
-                    std::chrono::duration<double, std::milli>(Clock::now() -
-                                                              submitted)
-                        .count();
-                return runTimed(request, waitMs, deadline, inflight);
             } catch (const std::exception& e) {
-                // Only pre-claim faults land here (runTimed never throws).
-                recorder_.finish(inflight);
+                // A fault before the claim: release the queue slot unless
+                // DropOldest already took it.
                 int expected = kQueued;
                 if (slots[i].state.compare_exchange_strong(
                         expected, kRunning, std::memory_order_acq_rel))
                     queuedDepth_.fetch_sub(1, std::memory_order_acq_rel);
-                QueryResult result;
-                result.id = request.id;
-                result.kind = request.kind;
-                result.verdict = Verdict::Error;
-                result.error.errorKind = errorKindOf(e);
-                result.error.message = e.what();
-                ServiceMetrics::get().failed.inc();
-                return result;
+                scope.fail(e);
+                return scope.finish();
             }
+            queuedDepth_.fetch_sub(1, std::memory_order_acq_rel);
+            scope.result().trace.queueWaitMs =
+                std::chrono::duration<double, std::milli>(Clock::now() -
+                                                          submitted)
+                    .count();
+            return runTimed(scope, request, deadline);
         }));
     }
     std::vector<QueryResult> results;
     results.reserve(futures.size());
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        results.push_back(futures[i].get());
-        if (results.back().id.empty()) {
-            results.back().id = std::to_string(i);
-            results.back().trace.id = results.back().id;
-        }
-    }
+    for (std::future<QueryResult>& future : futures)
+        results.push_back(future.get());
     return results;
 }
 
@@ -815,6 +774,8 @@ void Service::clearCache() {
     const std::lock_guard<std::mutex> lock(cacheMutex_);
     lru_.clear();
     index_.clear();
+    snapLru_.clear();
+    snapIndex_.clear();
 }
 
 } // namespace lar::reason

@@ -14,10 +14,11 @@
 //  * a QueryTrace per query (compile/solve split, cache outcome, search
 //    counters, hierarchical span tree) for observability.
 //
-// Every query also feeds the process-wide obs::Registry (cache hit/miss
-// counters, per-kind query counts, latency/compile/queue-wait histograms —
-// all `lar_`-prefixed) and emits a structured "query_done" log line at Info
-// level (invisible under the default Warn threshold).
+// Every returned QueryResult — answered, shed, cancelled or expired before
+// starting, failed before or while running — closes through one QueryScope
+// (as do session asks), which records its trace in the flight recorder,
+// logs a "query_done" line at Info level and counts it:
+// lar_queries_total{kind} grows by exactly one per returned result.
 //
 // Batch results are bit-identical to running the same requests
 // sequentially: queries share nothing mutable, and every randomized aspect
@@ -33,6 +34,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -41,11 +43,14 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/span.hpp"
 #include "reason/compile.hpp"
 #include "reason/engine.hpp"
 #include "reason/flight_recorder.hpp"
 #include "reason/query_options.hpp"
 #include "reason/trace.hpp"
+#include "util/logging.hpp"
+#include "util/stopwatch.hpp"
 #include "util/threadpool.hpp"
 
 namespace lar::reason {
@@ -174,6 +179,8 @@ struct CacheStats {
     std::size_t capacity = 0;
 };
 
+class QueryScope;
+
 class Service {
 public:
     explicit Service(const ServiceOptions& options = {});
@@ -187,10 +194,11 @@ public:
         const std::vector<QueryRequest>& requests);
 
     [[nodiscard]] CacheStats cacheStats() const;
+    /// Drops every cached compilation and warm-start snapshot.
     void clearCache();
     [[nodiscard]] unsigned workerCount() const { return pool_.workerCount(); }
 
-    /// The flight recorder: every completed query lands here (bounded,
+    /// The flight recorder: every returned result lands here (bounded,
     /// biased retention) and every admitted query is listed while it runs.
     /// Session owners (reason::SessionManager) register their asks against
     /// the same recorder so one endpoint sees the whole process.
@@ -264,19 +272,16 @@ private:
     using Clock = std::chrono::steady_clock;
 
     [[nodiscard]] static CacheKey fingerprint(const Problem& problem);
-    [[nodiscard]] std::shared_ptr<const Compilation> obtain(
-        const Problem& problem, bool& cacheHit, double& compileMs);
-    /// run() with a known queue wait (runBatch measures submit → start) and
-    /// the end-to-end deadline fixed at submission time. Never throws:
-    /// exceptions land in QueryResult::error.
+    /// Executes an admitted query under `scope` with the end-to-end
+    /// deadline fixed at submission time, and closes the scope. Never
+    /// throws: exceptions land in QueryResult::error.
     [[nodiscard]] QueryResult runTimed(
-        const QueryRequest& request, double queueWaitMs,
-        std::optional<Clock::time_point> deadline,
-        std::shared_ptr<InflightQuery> inflight = nullptr);
+        QueryScope& scope, const QueryRequest& request,
+        std::optional<Clock::time_point> deadline);
     /// The solve attempt loop: one Engine::run per attempt, retries on
     /// Unknown per RetryPolicy, falls back Z3 → CDCL on backend failure.
-    /// Fills result.verdict, the payload and the trace telemetry; `detail`
-    /// gets a human extra such as "3 designs" when one exists.
+    /// Fills result.verdict, the payload and the trace telemetry (with a
+    /// human verdict detail such as "3 designs" when one exists).
     /// `cancelFlag` (never null) overrides the request's own flag — it is
     /// the drain-registered flag runTimed chose. Throws on unrecoverable
     /// error.
@@ -284,7 +289,7 @@ private:
                          std::shared_ptr<const Compilation> compilation,
                          const std::optional<Clock::time_point>& deadline,
                          std::atomic<bool>* cancelFlag, QueryResult& result,
-                         std::string& detail, InflightQuery* inflight);
+                         InflightQuery& inflight);
     /// Copies one attempt's Answer into `result` (verdict, payload, trace
     /// telemetry) and the process metrics, and stores the exported
     /// warm-start snapshot, if any.
@@ -301,10 +306,6 @@ private:
     /// total claimed (= the portfolio width to run with).
     [[nodiscard]] unsigned claimSolveThreads(int requested);
     void releaseSolveThreads(unsigned claimed);
-    /// A `shed` result for a request rejected/dropped by admission control;
-    /// counts, logs, records into the flight recorder, and fills the trace
-    /// so shedding is never silent.
-    [[nodiscard]] QueryResult makeShedResult(const QueryRequest& request);
 
     ServiceOptions options_;
     util::ThreadPool pool_;
@@ -335,6 +336,51 @@ private:
         std::list<std::pair<CacheKey, std::shared_ptr<const sat::SolverSnapshot>>>;
     SnapList snapLru_; ///< front = most recently used
     std::unordered_map<CacheKey, SnapList::iterator, CacheKeyHash> snapIndex_;
+};
+
+/// One query's lifecycle, from admission to the result handed back. Every
+/// Service result and every session ask runs inside one; finish() is the
+/// only place a result reaches the trace envelope, the flight recorder, the
+/// done log line and the query counters.
+class QueryScope {
+public:
+    /// Opens at admission: installs the request's trace id as the ambient
+    /// log identity, takes the in-flight entry (or adopts `admitted`, taken
+    /// at batch submission) and joins the request's span trace (or a fresh
+    /// one) under a root span. `id` is the result's id. A non-empty
+    /// `sessionId` marks a session ask: root span "ask", log event
+    /// "session_ask", counted in lar_session_asks_total instead of
+    /// lar_queries_total.
+    QueryScope(Service& service, const QueryRequest& request, std::string id,
+               std::shared_ptr<InflightQuery> admitted = nullptr,
+               std::string sessionId = "");
+    ~QueryScope(); ///< leaves the in-flight registry if finish() never ran
+    QueryScope(const QueryScope&) = delete;
+    QueryScope& operator=(const QueryScope&) = delete;
+
+    /// The result under construction (id and kind preset); the executor
+    /// fills verdict, payload and the trace fields only it measures.
+    [[nodiscard]] QueryResult& result() { return result_; }
+    [[nodiscard]] InflightQuery& inflight() { return *inflight_; }
+    /// Marks the result failed by `e` (Verdict::Error plus QueryError).
+    void fail(const std::exception& e);
+    /// Closes spans, leaves the in-flight registry, stamps the trace
+    /// envelope (id, trace id, kind, backend, total time, verdict, error),
+    /// counts, logs and records the trace, then hands the result back — its
+    /// trace emptied when the request declined one. Call once.
+    [[nodiscard]] QueryResult finish();
+
+private:
+    Service& service_;
+    const QueryRequest& request_;
+    const std::string sessionId_;
+    QueryResult result_;
+    std::optional<util::ScopedLogTraceId> logScope_;
+    std::shared_ptr<InflightQuery> inflight_;
+    std::shared_ptr<obs::Trace> spanTrace_;
+    std::optional<obs::ScopedTrace> scopedTrace_;
+    std::optional<obs::Span> rootSpan_;
+    util::Stopwatch timer_;
 };
 
 } // namespace lar::reason

@@ -20,9 +20,7 @@ struct SessionMetrics {
     obs::Counter& closed;
     obs::Counter& expired;
     obs::Counter& shed;
-    obs::Counter& asks;
     obs::Gauge& active;
-    obs::Histogram& askLatencyMs;
 
     static SessionMetrics& get() {
         static SessionMetrics m = [] {
@@ -36,12 +34,7 @@ struct SessionMetrics {
                             "What-if sessions evicted on lease expiry"),
                 reg.counter("lar_session_shed_total",
                             "Session creates refused by admission control"),
-                reg.counter("lar_session_asks_total",
-                            "Variations answered across all sessions"),
                 reg.gauge("lar_session_active", "Live what-if sessions"),
-                reg.histogram("lar_session_ask_latency_ms",
-                              "Per-ask latency inside SessionManager",
-                              obs::latencyBucketsMs()),
             };
         }();
         return m;
@@ -149,46 +142,37 @@ std::optional<SessionManager::AskOutcome> SessionManager::ask(
     const std::shared_ptr<Session> session = find(id);
     if (session == nullptr) return std::nullopt;
 
-    SessionMetrics& metrics = SessionMetrics::get();
-    std::optional<util::ScopedLogTraceId> logScope;
-    if (!traceId.empty()) logScope.emplace(traceId);
-
-    // Session asks share the Service's flight recorder and in-flight
-    // registry with plain queries: one endpoint sees the whole process.
-    // "queued" while waiting on the per-session ask serialization.
-    const std::shared_ptr<InflightQuery> inflight =
-        service_.flightRecorder().admit(id, traceId, /*sessionId=*/id,
-                                        QueryKind::Feasibility);
-
-    // Span collection mirrors Service::runTimed: join the request's trace
-    // when the HTTP layer supplied one, otherwise a fresh collector.
-    std::shared_ptr<obs::Trace> spanTrace = std::move(requestTrace);
-    std::optional<obs::ScopedTrace> scopedTrace;
-    std::optional<obs::Span> askSpan;
-    if (obs::enabled()) {
-        if (spanTrace == nullptr) spanTrace = std::make_shared<obs::Trace>();
-        if (obs::currentContext().trace != spanTrace.get())
-            scopedTrace.emplace(*spanTrace);
-        askSpan.emplace("ask");
-    }
-
-    util::Stopwatch timer;
+    // Session asks share the Service's query lifecycle: the same flight
+    // recorder, in-flight registry ("queued" while waiting on the
+    // per-session ask serialization), span joining and done log line.
+    QueryRequest request;
+    request.traceId = traceId;
+    request.kind = QueryKind::Feasibility;
+    request.options.backend = options_.query.backend;
+    request.requestTrace = std::move(requestTrace);
+    QueryScope scope(service_, request, id, /*admitted=*/nullptr,
+                     /*sessionId=*/id);
+    QueryResult& result = scope.result();
     AskOutcome outcome;
-    std::uint64_t askIndex = 0;
-    {
+    try {
         // Per-session serialization: the backend is single-threaded.
         // Holding askMutex (not the manager mutex) keeps asks on *other*
         // sessions fully concurrent.
         const std::lock_guard<std::mutex> askLock(session->askMutex);
-        inflight->phase.store(QueryPhase::Solve, std::memory_order_relaxed);
-        askIndex = session->asks.fetch_add(1, std::memory_order_relaxed) + 1;
+        scope.inflight().phase.store(QueryPhase::Solve,
+                                     std::memory_order_relaxed);
+        const std::uint64_t askIndex =
+            session->asks.fetch_add(1, std::memory_order_relaxed) + 1;
+        result.id = id + "#" + std::to_string(askIndex);
         util::FaultInjector::global().maybeFault("session.ask");
+        util::Stopwatch solveTimer;
         outcome.answer = session->whatIf->ask(variation);
+        result.trace.solveMs = solveTimer.millis();
+    } catch (const std::exception& e) {
+        scope.fail(e);
+        (void)scope.finish();
+        throw;
     }
-    const double totalMs = timer.millis();
-    askSpan.reset(); // close "ask" before the tree is exported
-    scopedTrace.reset();
-    service_.flightRecorder().finish(inflight);
 
     {
         // Renew the lease after the ask: a long solve must not expire its
@@ -199,24 +183,11 @@ std::optional<SessionManager::AskOutcome> SessionManager::ask(
         session->leaseExpiry = Clock::now() + options_.leaseTtl;
     }
 
-    outcome.trace.id = id + "#" + std::to_string(askIndex);
-    outcome.trace.traceId = traceId;
-    outcome.trace.kind = QueryKind::Feasibility;
-    outcome.trace.backend = options_.query.backend;
-    outcome.trace.cacheHit = true; // the session *is* the warm compilation
-    outcome.trace.solveMs = totalMs;
-    outcome.trace.totalMs = totalMs;
-    traceAnswer(outcome.answer, outcome.trace);
-    outcome.trace.warmStartAttempted = session->whatIf->warmStarted();
-    outcome.trace.spans = spanTrace;
-    service_.flightRecorder().record(outcome.trace);
-
-    metrics.asks.inc();
-    metrics.askLatencyMs.observe(totalMs);
-    util::logLineJson(util::LogLevel::Info, "session_ask",
-                      {{"id", id},
-                       {"verdict", verdictName(outcome.answer.verdict)},
-                       {"total_ms", totalMs}});
+    result.verdict = outcome.answer.verdict;
+    result.trace.cacheHit = true; // the session *is* the warm compilation
+    traceAnswer(outcome.answer, result.trace);
+    result.trace.warmStartAttempted = session->whatIf->warmStarted();
+    outcome.trace = scope.finish().trace;
     return outcome;
 }
 

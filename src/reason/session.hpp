@@ -22,6 +22,13 @@
 //  * drain() flips every session's cancel flag (in-flight asks return
 //    Verdict::Cancelled, never Error) and evicts everything.
 //
+// Observability: every ask runs inside a reason::QueryScope, the lifecycle
+// Service queries use — so an ask is listed in the Service's in-flight
+// registry while it waits and solves, its spans join the request's trace
+// under an "ask" root, and its trace (id "<session>#<n>") is recorded in
+// the Service's flight recorder, logged as "session_ask" and counted in
+// lar_session_asks_total — also when the ask throws.
+//
 // Warm-start coupling: create() seeds the session's solver from the
 // Service's fingerprint-keyed snapshot cache, and close()/eviction exports
 // the session's learnt state back into it — so the next session (or plain
@@ -74,7 +81,7 @@ public:
     /// Outcome of one ask (nullopt from ask() means unknown/expired id).
     struct AskOutcome {
         Answer answer;    ///< stats cumulative per session
-        QueryTrace trace; ///< kind=Feasibility, filled by traceAnswer()
+        QueryTrace trace; ///< kind=Feasibility, closed by QueryScope
     };
 
     /// The Service provides the compilation cache, the warm-start snapshot

@@ -27,6 +27,9 @@
 #include <thread>
 #include <vector>
 
+#include "catalog/catalog.hpp"
+#include "json/parse.hpp"
+#include "json/value.hpp"
 #include "net/fault.hpp"
 #include "net/http_client.hpp"
 #include "net/server.hpp"
@@ -310,6 +313,62 @@ TEST_F(ChaosTest, DebugFaultsEndpointAndStatuszShowArmedSites) {
     // Reset before the server handles anything else, so the armed read
     // site cannot bite these very connections.
     util::FaultInjector::global().reset();
+    server.stop();
+}
+
+// A batch item that fails before it starts (injected at service.task_start)
+// still answers with its own trace — its id, its kind, verdict "error" —
+// and the flight recorder keeps it for GET /v1/debug/traces?verdict=error.
+TEST_F(ChaosTest, BatchItemFailingBeforeStartIsTracedAndRetained) {
+    const kb::KnowledgeBase kb = catalog::buildKnowledgeBase();
+    reason::ServiceOptions serviceOptions;
+    serviceOptions.workers = 1; // FIFO: the 2nd task start is the 2nd item
+    reason::Service service(serviceOptions);
+    ServerOptions options;
+    options.bindAddress = "127.0.0.1";
+    options.port = 0;
+    options.accessLog = false;
+    HttpServer server(options);
+    serve::registerServiceRoutes(server, service, kb);
+    serve::registerDebugRoutes(server, service);
+    server.start();
+    HttpClient client("127.0.0.1", server.port());
+
+    util::FaultInjector::global().armNthHit("service.task_start", 2);
+    const std::string problem =
+        R"({"hardware":{"server":{"count":60},"switch":{"count":8},)"
+        R"("nic":{"count":60}},"objective_priority":["latency"]})";
+    const net::ClientResponse resp = client.post(
+        "/v1/batch", R"({"queries":[{"id":"first","kind":"feasible","problem":)" +
+                         problem +
+                         R"(},{"id":"doomed","kind":"feasible","problem":)" +
+                         problem + "}]}");
+    ASSERT_EQ(resp.status, 200) << resp.body;
+    const json::Value report = json::parse(resp.body);
+    const json::Array& results = report.at("results").asArray();
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].at("verdict").asString(), "sat");
+    const json::Value& doomed = results[1];
+    EXPECT_EQ(doomed.at("verdict").asString(), "error");
+    const json::Value& trace = doomed.at("trace");
+    EXPECT_EQ(trace.at("id").asString(), "doomed");
+    EXPECT_EQ(trace.at("kind").asString(), "feasible");
+    EXPECT_EQ(trace.at("verdict").asString(), "error");
+    EXPECT_EQ(trace.at("error").at("kind").asString(), "fault_injected");
+
+    const net::ClientResponse errors =
+        client.get("/v1/debug/traces?verdict=error");
+    ASSERT_EQ(errors.status, 200) << errors.body;
+    const json::Value listing = json::parse(errors.body);
+    bool listed = false;
+    for (const json::Value& row : listing.at("traces").asArray()) {
+        EXPECT_NE(row.at("id").asString(), "first");
+        if (row.at("id").asString() != "doomed") continue;
+        listed = true;
+        EXPECT_EQ(row.at("kind").asString(), "feasible");
+        EXPECT_EQ(row.at("error_kind").asString(), "fault_injected");
+    }
+    EXPECT_TRUE(listed) << errors.body;
     server.stop();
 }
 

@@ -5,7 +5,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "catalog/catalog.hpp"
 #include "kb/objectives.hpp"
@@ -552,6 +556,122 @@ TEST_F(ServiceFaultTest, SatAndWarmStartCountersUseTotalSuffix) {
                   .counter("lar_sat_probes_total",
                            "Literals probed by failed-literal probing")
                   .value());
+}
+
+// -------------------------------------------------------- query lifecycle
+
+// Every way a query can end — answered, failed inside or before the solver,
+// cancelled or expired before starting, shed by drain or by either
+// admission policy — leaves the same record: a trace stamped from the
+// request and the result, a copy in the flight recorder, and exactly one
+// lar_queries_total increment per returned result.
+TEST_F(ServiceFaultTest, EveryOutcomeIsTracedRecordedAndCountedOnce) {
+    obs::Counter& feasibleQueries = obs::Registry::global().counter(
+        "lar_queries_total", "Query results returned by Service, by kind",
+        {{"kind", "feasible"}});
+    std::atomic<bool> preCancelled{true};
+    const auto feasible = [this](const std::string& id) {
+        return request(QueryKind::Feasibility, caseStudyProblem(), id);
+    };
+    const auto batchOf = [&](const std::string& name, int n) {
+        std::vector<QueryRequest> requests;
+        for (int i = 0; i < n; ++i)
+            requests.push_back(feasible(name + "-" + std::to_string(i)));
+        return requests;
+    };
+    ServiceOptions oneWorker;
+    oneWorker.workers = 1;
+    ServiceOptions rejectNew = oneWorker;
+    rejectNew.maxQueueDepth = 1;
+    rejectNew.shedPolicy = ShedPolicy::RejectNew;
+    ServiceOptions dropOldest = rejectNew;
+    dropOldest.shedPolicy = ShedPolicy::DropOldest;
+
+    struct Case {
+        std::string name;
+        Verdict expected; ///< must be among the case's results
+        ServiceOptions options;
+        std::function<std::vector<QueryResult>(Service&)> run;
+    };
+    const std::vector<Case> cases = {
+        {"sat", Verdict::Sat, {},
+         [&](Service& s) { return std::vector{s.run(feasible("sat"))}; }},
+        {"solve_fault", Verdict::Error, {},
+         [&](Service& s) {
+             util::FaultInjector::global().armNthHit("service.solve", 1);
+             return std::vector{s.run(feasible("solve_fault"))};
+         }},
+        {"cancelled_before_start", Verdict::Cancelled, {},
+         [&](Service& s) {
+             QueryRequest r = feasible("cancelled_before_start");
+             r.options.cancelFlag = &preCancelled;
+             return std::vector{s.run(r)};
+         }},
+        {"expired_before_start", Verdict::TimedOut, oneWorker,
+         [&](Service& s) {
+             util::FaultInjector::global().armDelayMs("service.task_start",
+                                                      80);
+             QueryRequest r = feasible("expired_before_start");
+             r.options.timeoutMs = 20;
+             return s.runBatch({r});
+         }},
+        {"drain_shed", Verdict::Shed, {},
+         [&](Service& s) {
+             s.beginDrain();
+             return std::vector{s.run(feasible("drain_shed"))};
+         }},
+        {"reject_new_shed", Verdict::Shed, rejectNew,
+         [&](Service& s) {
+             util::FaultInjector::global().armDelayMs("service.task_start",
+                                                      60);
+             return s.runBatch(batchOf("reject_new_shed", 3));
+         }},
+        {"drop_oldest_shed", Verdict::Shed, dropOldest,
+         [&](Service& s) {
+             util::FaultInjector::global().armDelayMs("service.task_start",
+                                                      60);
+             return s.runBatch(batchOf("drop_oldest_shed", 3));
+         }},
+        // An empty request id: the result, its trace and the recorder all
+        // carry the position index.
+        {"task_start_fault", Verdict::Error, oneWorker,
+         [&](Service& s) {
+             util::FaultInjector::global().armNthHit("service.task_start", 1);
+             return s.runBatch({feasible("")});
+         }},
+    };
+
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        util::FaultInjector::global().reset();
+        Service service(c.options);
+        const std::uint64_t countedBefore = feasibleQueries.value();
+        const std::vector<QueryResult> results = c.run(service);
+        ASSERT_FALSE(results.empty());
+        int expectedSeen = 0;
+        for (const QueryResult& r : results) {
+            SCOPED_TRACE(r.id);
+            EXPECT_FALSE(r.id.empty());
+            EXPECT_EQ(r.kind, QueryKind::Feasibility);
+            EXPECT_EQ(r.trace.id, r.id);
+            EXPECT_EQ(r.trace.kind, QueryKind::Feasibility);
+            EXPECT_EQ(r.trace.verdict, r.verdict);
+            if (r.verdict == Verdict::Error) {
+                EXPECT_FALSE(r.trace.errorKind.empty());
+                EXPECT_EQ(r.trace.errorKind, r.error.errorKind);
+            }
+            if (r.verdict == c.expected) ++expectedSeen;
+            const std::optional<QueryTrace> recorded =
+                service.flightRecorder().find(r.id);
+            ASSERT_TRUE(recorded.has_value());
+            EXPECT_EQ(recorded->id, r.id);
+            EXPECT_EQ(recorded->kind, QueryKind::Feasibility);
+            EXPECT_EQ(recorded->verdict, r.verdict);
+            EXPECT_EQ(recorded->errorKind, r.error.errorKind);
+        }
+        EXPECT_GE(expectedSeen, 1) << "no " << verdictName(c.expected);
+        EXPECT_EQ(feasibleQueries.value() - countedBefore, results.size());
+    }
 }
 
 // ------------------------------------------------------- injector itself

@@ -1,7 +1,8 @@
 // DESIGN.md §9 documents the toJson(QueryTrace) schema; this test keeps the
 // document honest. It serializes a trace with every optional block present
 // and fails when a top-level key has no row in the §9 table, or when the
-// section states a schema version other than kQueryTraceSchemaVersion.
+// section — or README.md — states a schema version other than
+// kQueryTraceSchemaVersion.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -78,6 +79,18 @@ TEST(TraceSchemaDoc, Section9HasARowForEveryTopLevelKey) {
     for (const auto& [key, value] : v.asObject().entries())
         EXPECT_TRUE(documented.count(key) == 1)
             << "DESIGN.md §9 has no row for \"" << key << "\"";
+}
+
+TEST(TraceSchemaDoc, ReadmeNamesTheEmittedVersion) {
+    // README.md refers to the trace schema as "schema-vN `QueryTrace`".
+    const std::string readme = util::readFile(LAR_README_MD);
+    const std::regex mention(R"(schema-v(\d+) `QueryTrace`)");
+    int mentions = 0;
+    for (auto it = std::sregex_iterator(readme.begin(), readme.end(), mention);
+         it != std::sregex_iterator(); ++it, ++mentions)
+        EXPECT_EQ(std::stoi((*it)[1]), kQueryTraceSchemaVersion)
+            << "README.md: " << (*it)[0];
+    EXPECT_GE(mentions, 1) << "README.md no longer names the trace schema";
 }
 
 } // namespace

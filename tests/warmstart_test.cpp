@@ -221,5 +221,24 @@ TEST(WarmStartService, SnapshotLruEvictsBeyondCapacity) {
     EXPECT_NE(service.snapshotFor(b), nullptr);
 }
 
+TEST(WarmStartService, ClearCacheDropsSnapshots) {
+    reason::ServiceOptions options;
+    options.workers = 1;
+    options.warmStartCapacity = 4;
+    reason::Service service(options);
+
+    const kb::KnowledgeBase kb = catalog::buildKnowledgeBase();
+    reason::QueryRequest req;
+    req.kind = reason::QueryKind::Feasibility;
+    req.problem = reason::makeDefaultProblem(kb);
+    req.problem.hardware[kb::HardwareClass::Server].count = 10;
+    (void)service.run(req); // stores a snapshot for the fingerprint
+    ASSERT_NE(service.snapshotFor(req.problem), nullptr);
+
+    service.clearCache();
+    EXPECT_EQ(service.cacheStats().entries, 0u);
+    EXPECT_EQ(service.snapshotFor(req.problem), nullptr);
+}
+
 } // namespace
 } // namespace lar
