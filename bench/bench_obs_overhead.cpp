@@ -24,7 +24,7 @@ using reason::QueryKind;
 
 namespace {
 
-/// Same shape as bench_service_throughput's burst: 6 distinct problems × 6
+/// Same shape as the SVC1 burst in perf_gates_test: 6 distinct problems × 6
 /// repeats, cycling optimize/feasibility/synthesize.
 std::vector<reason::QueryRequest> makeBurst(const kb::KnowledgeBase& kb,
                                             bool instrumented) {

@@ -9,11 +9,12 @@
 #                                and simplify suites + the portfolio/
 #                                warm-start/inprocessing verdict-agreement
 #                                fuzz oracles under ASan/UBSan, then the
-#                                bench_propagation >=1.2x throughput gate
+#                                bench_propagation Solver props/sec floor
 #                                and the bench_solver_ablation gate
-#   scripts/verify.sh server     HTTP server: unit + TSan + live smoke + bench
+#   scripts/verify.sh server     HTTP server: unit + TSan + live smoke +
+#                                capacity and oversubscription gates
 #   scripts/verify.sh session    sessions: unit + TSan + warm-start oracle +
-#                                live session smoke + interactive bench
+#                                live session smoke + session speedup gate
 #   scripts/verify.sh obs        observability: flight-recorder unit + TSan +
 #                                live /v1/debug + /statusz smoke
 #   scripts/verify.sh chaos      resilience: fault-injection + chaos suites,
@@ -61,10 +62,10 @@ run_solver() {
     # stale ClauseRef turns into silent memory corruption, so the solver
     # unit suite, the inprocessing verdict-agreement fuzz oracles, and the
     # portfolio/warm-start oracles run under ASan/UBSan; then
-    # bench_propagation (plain tree) must show the arena + binary-graph
-    # layout beating the old pointer-chasing layout by >=1.2x median
-    # props/sec, and bench_solver_ablation --smoke must show inprocessing
-    # on/off agreeing on every verdict.
+    # bench_propagation (plain tree) must show sat::Solver propagating
+    # exactly the planted schedule with no conflict at or above its
+    # props/sec floor, and bench_solver_ablation --smoke must show
+    # inprocessing on/off agreeing on every verdict.
     echo "== solver: arena suite + fuzz oracles under ASan/UBSan + gates =="
     cmake -B "$root/build-asan" -S "$root" -DLAR_SANITIZE=address,undefined
     cmake --build "$root/build-asan" -j"$jobs" --target \
@@ -79,7 +80,7 @@ run_solver() {
         ./bench/bench_solver_ablation --smoke)
     grep -q '"pass":true' "$root/build-asan/BENCH_solver_ablation.json"
 
-    echo "-- bench: propagation throughput gate --"
+    echo "-- bench: propagation throughput floor --"
     cmake -B "$root/build" -S "$root"
     cmake --build "$root/build" -j"$jobs" --target bench_propagation
     (cd "$root/build" && ./bench/bench_propagation)
@@ -92,16 +93,18 @@ run_solver() {
 }
 
 run_server() {
-    # The network subsystem end to end: parser/server unit suites, the same
-    # suites under ThreadSanitizer, a live larserved round-trip driven by
-    # larctl --url, and the throughput/overload/drain bench with its gates.
-    echo "== server: HTTP unit + TSan + live smoke + bench =="
+    # The network subsystem end to end: parser/server unit suites (they
+    # hold the 4x-oversubscription and drain-mid-load gates), the same
+    # suites under ThreadSanitizer, the HTTP-layer capacity gate (>=1000
+    # QPS, p99 < 100 ms), and a live larserved round-trip driven by
+    # larctl --url.
+    echo "== server: HTTP unit + TSan + capacity gate + live smoke =="
     cmake -B "$root/build" -S "$root"
     cmake --build "$root/build" -j"$jobs" --target \
-        http_test server_test server_test_tsan larserved larctl \
-        bench_server_throughput
+        http_test server_test server_test_tsan perf_gates_test larserved \
+        larctl
     (cd "$root/build" && ctest --output-on-failure -R \
-        '^(HttpParser|HttpServer|HttpClient)|^server_tsan$')
+        '^(HttpParser|HttpServer|HttpClient)|^server_tsan$|^PerfGates\.HttpLayer')
 
     echo "-- live smoke: larserved + larctl --url --"
     smoke="$root/build/server_smoke"
@@ -123,23 +126,21 @@ run_server() {
     "$root/build/tools/larctl" --url "$url" metrics | grep -q lar_http_requests_total
     kill -TERM "$served_pid"
     wait "$served_pid" || { echo "larserved did not drain cleanly"; exit 1; }
-
-    echo "-- bench: throughput / overload / drain gates --"
-    (cd "$root/build" && ./bench/bench_server_throughput)
 }
 
 run_session() {
     # The stateful what-if path end to end: SessionManager lifecycle/race
     # suite (plain and under ThreadSanitizer), the warm-start soundness
-    # oracle, a live create/ask/close round-trip through larserved + larctl
-    # session mode, and the interactive bench with its >=10x speedup gate.
-    echo "== session: lifecycle + TSan + warm-start oracle + smoke + bench =="
+    # oracle, the session-vs-stateless gate (>=10x median speedup over the
+    # production routes, verdicts agree), and a live create/ask/close
+    # round-trip through larserved + larctl session mode.
+    echo "== session: lifecycle + TSan + warm-start oracle + gate + smoke =="
     cmake -B "$root/build" -S "$root"
     cmake --build "$root/build" -j"$jobs" --target \
-        session_test session_test_tsan warmstart_test larserved larctl \
-        bench_session_interactive
+        session_test session_test_tsan warmstart_test perf_gates_test \
+        larserved larctl
     (cd "$root/build" && ctest --output-on-failure -R \
-        '^SessionTest|^session_tsan$|^(SolverSnapshot|WarmStartOracle|WarmStartService)')
+        '^SessionTest|^session_tsan$|^(SolverSnapshot|WarmStartOracle|WarmStartService)|^PerfGates\.SessionAsk')
 
     echo "-- live smoke: larserved session workflow via larctl --"
     smoke="$root/build/session_smoke"
@@ -164,9 +165,6 @@ run_session() {
         | grep -q lar_session_created_total
     kill -TERM "$served_pid"
     wait "$served_pid" || { echo "larserved did not drain cleanly"; exit 1; }
-
-    echo "-- bench: interactive session speedup gate --"
-    (cd "$root/build" && ./bench/bench_session_interactive)
 }
 
 run_obs() {

@@ -77,10 +77,6 @@ struct QueryOptions {
     /// only real assumptions — so this is a performance knob, not a
     /// semantics knob. Z3 manages its own preprocessing and ignores it.
     bool simplify = true;
-    /// Tick budget per inprocessing round (0 = solver default). Rounds that
-    /// exhaust it stop cleanly and search continues; the trace's simplify
-    /// block records the stop.
-    std::int64_t simplifyTickBudget = 0;
     /// Export a warm-start snapshot from the query's solver session when the
     /// query ends (surfaced as Answer::snapshot). Off by default —
     /// exporting copies the short learnt clauses — and a no-op for queries
@@ -103,7 +99,6 @@ struct QueryOptions {
         config.progressEveryConflicts = progressEveryConflicts;
         config.portfolioWorkers = portfolioWorkers;
         config.simplify = simplify;
-        config.simplifyTickBudget = simplifyTickBudget;
         return config;
     }
 };

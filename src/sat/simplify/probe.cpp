@@ -54,7 +54,7 @@ bool Simplifier::probe() {
         failed = false;
         hyper.clear();
         ++s_.stats_.probedLiterals;
-        s_.newDecisionLevel(l);
+        s_.newDecisionLevel();
         s_.enqueue(l, Reason::none());
         const std::uint64_t propsBefore = s_.stats_.propagations;
         const Solver::Conflict conflict = s_.propagate();

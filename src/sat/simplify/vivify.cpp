@@ -58,7 +58,7 @@ bool Simplifier::vivify() {
             }
             if (v == lbool::False) continue; // redundant under the prefix
             kept.push_back(l);
-            s_.newDecisionLevel(~l);
+            s_.newDecisionLevel();
             s_.enqueue(~l, Reason::none());
             const Solver::Conflict conflict = s_.propagate();
             if (s_.pendingStop_ != StopReason::None) {

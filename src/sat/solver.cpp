@@ -168,9 +168,8 @@ bool Solver::enqueue(Lit l, Reason from) {
     return true;
 }
 
-void Solver::newDecisionLevel(Lit decision) {
+void Solver::newDecisionLevel() {
     trailLim_.push_back(static_cast<int>(trail_.size()));
-    frames_.push_back({decision, false});
     stats_.maxDecisionLevel = std::max(
         stats_.maxDecisionLevel, static_cast<std::uint64_t>(decisionLevel()));
 }
@@ -189,7 +188,6 @@ void Solver::backtrackTo(int level) {
     }
     trail_.resize(static_cast<std::size_t>(limit));
     trailLim_.resize(static_cast<std::size_t>(level));
-    frames_.resize(static_cast<std::size_t>(level));
     qhead_ = trail_.size();
 }
 
@@ -866,50 +864,13 @@ Lit Solver::pickBranchLit() {
     // Eliminated variables are skipped: they have no clauses left, so any
     // branch on them is wasted work, and assigning them would leak into
     // snapshots. restoreEliminated() re-inserts them into the heap.
-    if (opts_.useVsids) {
-        while (!heapEmpty()) {
-            const Var v = heapPopMax();
-            if (value(v) == lbool::Undef &&
-                eliminated_[static_cast<std::size_t>(v)] == 0)
-                return mkLit(v, polarity_[static_cast<std::size_t>(v)] != 0);
-        }
-        return kUndefLit;
-    }
-    // Static order: lowest-index unassigned variable (ablation mode).
-    for (Var v = 0; v < numVars(); ++v)
+    while (!heapEmpty()) {
+        const Var v = heapPopMax();
         if (value(v) == lbool::Undef &&
             eliminated_[static_cast<std::size_t>(v)] == 0)
             return mkLit(v, polarity_[static_cast<std::size_t>(v)] != 0);
+    }
     return kUndefLit;
-}
-
-// ---------------------------------------------------------------------------
-// DPLL fallback (learning disabled)
-// ---------------------------------------------------------------------------
-
-bool Solver::handleConflictDpll() {
-    // Flip the deepest unflipped non-assumption decision; fail when none.
-    const int assumptionLevels = static_cast<int>(assumptions_.size());
-    int flipLevel = -1;
-    for (int lvl = decisionLevel(); lvl > assumptionLevels; --lvl) {
-        if (!frames_[static_cast<std::size_t>(lvl - 1)].flipped) {
-            flipLevel = lvl;
-            break;
-        }
-    }
-    if (flipLevel < 0) {
-        // Exhausted: unsatisfiable under the assumptions. For DPLL mode the
-        // reported core is the full assumption set (no resolution proof to
-        // shrink it).
-        core_ = assumptions_;
-        return false;
-    }
-    const Lit flipped = ~frames_[static_cast<std::size_t>(flipLevel - 1)].decision;
-    backtrackTo(flipLevel - 1);
-    newDecisionLevel(flipped);
-    frames_.back().flipped = true;
-    enqueue(flipped, Reason::none());
-    return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -1089,18 +1050,6 @@ SolveResult Solver::search() {
                 backtrackTo(0);
                 return SolveResult::Unknown;
             }
-            if (!opts_.useLearning) {
-                if (decisionLevel() <= static_cast<int>(assumptions_.size())) {
-                    if (decisionLevel() == 0) {
-                        ok_ = false;
-                        return SolveResult::Unsat;
-                    }
-                    core_ = assumptions_;
-                    return SolveResult::Unsat;
-                }
-                if (!handleConflictDpll()) return SolveResult::Unsat;
-                continue;
-            }
             if (decisionLevel() == 0) {
                 ok_ = false;
                 return SolveResult::Unsat;
@@ -1150,7 +1099,7 @@ SolveResult Solver::search() {
                 }
             }
 
-            if (opts_.useRestarts && conflictsSinceRestart_ >= restartLimit_) {
+            if (conflictsSinceRestart_ >= restartLimit_) {
                 ++stats_.restarts;
                 ++restartCount_;
                 restartLimit_ = opts_.restartBase * luby(restartCount_);
@@ -1172,8 +1121,7 @@ SolveResult Solver::search() {
                     }
                 }
             }
-            if (opts_.reduceDb &&
-                static_cast<double>(learnts_.size()) >= maxLearnts_) {
+            if (static_cast<double>(learnts_.size()) >= maxLearnts_) {
                 reduceLearntDb();
                 maybeGarbageCollect();
                 maxLearnts_ *= 1.3;
@@ -1186,7 +1134,7 @@ SolveResult Solver::search() {
             const Lit a = assumptions_[static_cast<std::size_t>(decisionLevel())];
             const lbool v = value(a);
             if (v == lbool::True) {
-                newDecisionLevel(a); // dummy level to keep alignment
+                newDecisionLevel(); // dummy level to keep alignment
                 continue;
             }
             if (v == lbool::False) {
@@ -1194,7 +1142,7 @@ SolveResult Solver::search() {
                 return SolveResult::Unsat;
             }
             ++stats_.decisions;
-            newDecisionLevel(a);
+            newDecisionLevel();
             enqueue(a, Reason::none());
             continue;
         }
@@ -1210,7 +1158,7 @@ SolveResult Solver::search() {
         const Lit next = pickBranchLit();
         if (!next.isDefined()) return SolveResult::Sat;
         ++stats_.decisions;
-        newDecisionLevel(next);
+        newDecisionLevel();
         enqueue(next, Reason::none());
     }
 }

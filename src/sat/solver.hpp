@@ -17,11 +17,8 @@
 //     threshold, exact learnt-memory accounting for the memory budget,
 //   * incremental solving under assumptions with unsat-core extraction
 //     (failed-assumption analysis), and
-//   * ablation switches (disable learning / VSIDS / restarts / phase saving)
-//     used by the solver-ablation bench.
-//
-// With learning disabled the solver falls back to a sound DPLL search that
-// flips the deepest unflipped decision on conflict.
+//   * an inprocessing pipeline (src/sat/simplify/) run at solve() start and
+//     at restart boundaries.
 #pragma once
 
 #include <atomic>
@@ -151,13 +148,9 @@ struct SolverProgress {
     double propagationsPerSec = 0.0; ///< over the current solve() call
 };
 
-/// Feature switches; defaults are the full CDCL configuration.
+/// Search knobs, budgets and hooks; defaults are the full CDCL configuration.
 struct SolverOptions {
-    bool useLearning = true;    ///< false → DPLL with decision flipping
-    bool useVsids = true;       ///< false → lowest-index unassigned variable
-    bool useRestarts = true;    ///< Luby restarts (ignored when !useLearning)
     bool usePhaseSaving = true; ///< remember last polarity per variable
-    bool reduceDb = true;       ///< periodically drop high-LBD learnt clauses
     double varDecay = 0.95;
     double clauseDecay = 0.999;
     int restartBase = 100;          ///< conflicts per Luby unit
@@ -371,10 +364,6 @@ private:
         Reason reason;
         int level = 0;
     };
-    struct DecisionFrame {
-        Lit decision = kUndefLit;
-        bool flipped = false; ///< DPLL mode: both phases tried?
-    };
     /// A falsified clause found by propagate(): an arena clause, or a binary
     /// clause given by its two (both false) literals.
     struct Conflict {
@@ -399,8 +388,7 @@ private:
     bool litRedundant(Lit l, std::uint32_t abstractLevels);
     void analyzeFinal(Lit falsifiedAssumption);
     void backtrackTo(int level);
-    bool handleConflictDpll();
-    void newDecisionLevel(Lit decision);
+    void newDecisionLevel();
 
     // -- state helpers -----------------------------------------------------
     [[nodiscard]] int decisionLevel() const {
@@ -511,7 +499,6 @@ private:
 
     std::vector<Lit> trail_;
     std::vector<int> trailLim_;
-    std::vector<DecisionFrame> frames_; ///< parallel to trailLim_
     std::size_t qhead_ = 0;
 
     std::vector<Var> heap_;        ///< heap of vars ordered by activity

@@ -187,8 +187,6 @@ struct BackendConfig {
     /// equivalence reduction, bounded variable elimination) before search
     /// and at restart boundaries. Verdict-preserving; Z3 ignores it.
     bool simplify = true;
-    /// Tick budget per inprocessing round; 0 keeps the solver default.
-    std::int64_t simplifyTickBudget = 0;
 };
 
 /// True when the library was built with Z3 support.

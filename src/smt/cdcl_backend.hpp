@@ -24,8 +24,6 @@ public:
         opts.progressEvery = config.progressEveryConflicts;
         opts.progressFn = config.progressFn;
         opts.simplify.enable = config.simplify;
-        if (config.simplifyTickBudget > 0)
-            opts.simplify.tickBudget = config.simplifyTickBudget;
         solver_.setOptions(opts);
     }
 

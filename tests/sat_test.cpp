@@ -368,6 +368,11 @@ struct ConfigCase {
     SolverOptions opts;
 };
 
+// Print a case by its name. Without this gtest dumps the struct's raw bytes
+// into the listed test name, and those hold the name pointer and padding,
+// which change from run to run.
+void PrintTo(const ConfigCase& c, std::ostream* os) { *os << c.name; }
+
 class SolverConfigTest : public ::testing::TestWithParam<ConfigCase> {};
 
 TEST_P(SolverConfigTest, AgreesWithBruteForceOnRandom3Sat) {
@@ -426,24 +431,16 @@ TEST_P(SolverConfigTest, UnsatCoreIsActuallyUnsat) {
     EXPECT_GT(coresChecked, 3);
 }
 
-SolverOptions makeOpts(bool learning, bool vsids, bool restarts, bool phase) {
+SolverOptions makeOpts(bool phase) {
     SolverOptions o;
-    o.useLearning = learning;
-    o.useVsids = vsids;
-    o.useRestarts = restarts;
     o.usePhaseSaving = phase;
     return o;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, SolverConfigTest,
-    ::testing::Values(
-        ConfigCase{"full_cdcl", makeOpts(true, true, true, true)},
-        ConfigCase{"no_vsids", makeOpts(true, false, true, true)},
-        ConfigCase{"no_restarts", makeOpts(true, true, false, true)},
-        ConfigCase{"no_phase_saving", makeOpts(true, true, true, false)},
-        ConfigCase{"dpll", makeOpts(false, true, false, true)},
-        ConfigCase{"dpll_static_order", makeOpts(false, false, false, false)}),
+    ::testing::Values(ConfigCase{"full_cdcl", makeOpts(true)},
+                      ConfigCase{"no_phase_saving", makeOpts(false)}),
     [](const ::testing::TestParamInfo<ConfigCase>& info) {
         return std::string(info.param.name);
     });

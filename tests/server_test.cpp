@@ -330,6 +330,51 @@ TEST(HttpServerTest, InflightCapSheds503WithRetryAfter) {
     EXPECT_EQ(client.get("/ping").status, 200);
 }
 
+TEST(HttpServerTest, FourfoldOversubscriptionShedsCleanly) {
+    // 16 clients against an inflight cap of 4: the surplus is shed with 503
+    // + Retry-After, everything else is answered 200 — never another status,
+    // never a transport error, never a request left unanswered.
+    ServerOptions options;
+    options.accessLog = false;
+    options.maxInflight = 4;
+    TestServer ts(options);
+    ts.server.route("POST", "/work", [](const HttpRequest& req) {
+        // A few ms of "solving" keeps the inflight slots occupied so the
+        // surplus clients actually hit the cap.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        return HttpResponse::text(200, req.body);
+    });
+    ts.start();
+    constexpr int kClients = 16;
+    constexpr int kRequests = 25;
+    std::atomic<int> served{0}, shed{0}, other{0}, transportErrors{0};
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int t = 0; t < kClients; ++t) {
+        clients.emplace_back([&] {
+            try {
+                HttpClient client("127.0.0.1", ts.port());
+                for (int i = 0; i < kRequests; ++i) {
+                    const net::ClientResponse resp = client.post("/work", "x");
+                    if (resp.status == 200) served.fetch_add(1);
+                    else if (resp.status == 503 &&
+                             resp.header("Retry-After") != nullptr)
+                        shed.fetch_add(1);
+                    else other.fetch_add(1);
+                }
+            } catch (const Error&) {
+                transportErrors.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread& t : clients) t.join();
+
+    EXPECT_EQ(other.load(), 0);
+    EXPECT_EQ(transportErrors.load(), 0);
+    EXPECT_EQ(served.load() + shed.load(), kClients * kRequests);
+    EXPECT_GT(shed.load(), 0);
+}
+
 TEST(HttpServerTest, ConcurrentConnectionsAllServed) {
     // The default inflight cap is sized from the core count, which can be
     // tiny in CI; raise it so no request is legitimately shed with 503.

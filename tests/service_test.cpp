@@ -178,21 +178,27 @@ TEST_F(ServiceTest, BatchMatchesSequentialBitForBit) {
     expected.reserve(requests.size());
     for (const QueryRequest& r : requests) expected.push_back(sequential.run(r));
 
-    ServiceOptions parOptions;
-    parOptions.workers = 4;
-    Service parallel(parOptions);
-    const std::vector<QueryResult> actual = parallel.runBatch(requests);
+    for (const unsigned workers : {2u, 4u, 8u}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        ServiceOptions parOptions;
+        parOptions.workers = workers;
+        Service parallel(parOptions);
+        const std::vector<QueryResult> actual = parallel.runBatch(requests);
 
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < actual.size(); ++i) {
-        EXPECT_EQ(actual[i].id, expected[i].id);
-        EXPECT_EQ(actual[i].verdict == Verdict::Sat, expected[i].verdict == Verdict::Sat) << actual[i].id;
-        EXPECT_EQ(designKey(actual[i].design), designKey(expected[i].design))
-            << actual[i].id;
-        EXPECT_EQ(actual[i].designs.size(), expected[i].designs.size())
-            << actual[i].id;
-        EXPECT_EQ(actual[i].conflictingRules, expected[i].conflictingRules)
-            << actual[i].id;
+        ASSERT_EQ(actual.size(), expected.size());
+        for (std::size_t i = 0; i < actual.size(); ++i) {
+            EXPECT_EQ(actual[i].id, expected[i].id);
+            EXPECT_EQ(actual[i].verdict == Verdict::Sat,
+                      expected[i].verdict == Verdict::Sat)
+                << actual[i].id;
+            EXPECT_EQ(designKey(actual[i].design),
+                      designKey(expected[i].design))
+                << actual[i].id;
+            EXPECT_EQ(actual[i].designs.size(), expected[i].designs.size())
+                << actual[i].id;
+            EXPECT_EQ(actual[i].conflictingRules, expected[i].conflictingRules)
+                << actual[i].id;
+        }
     }
 }
 
