@@ -34,9 +34,9 @@ using sat::Var;
 
 namespace {
 
-/// Set from twenty runs of this binary on a 4-vCPU x86-64 box (medians
-/// 1.50-2.21 M/s): below the lowest median by more than the spread.
-constexpr double kFloorPropsPerSec = 0.8e6;
+/// Set from ten runs of this binary on a 4-vCPU x86-64 box (medians
+/// 6.74-9.10 M/s): below the lowest median by more than the spread.
+constexpr double kFloorPropsPerSec = 4.0e6;
 constexpr int kRounds = 24;           // full assignment passes per instance
 constexpr double kBinaryFraction = 0.45;
 constexpr int kClausesPerVar = 12;    // dense: well above the 3-SAT threshold

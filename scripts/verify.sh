@@ -5,10 +5,11 @@
 #   scripts/verify.sh tier1      plain build + ctest only
 #   scripts/verify.sh sanitize   ASan/UBSan build + ctest only
 #   scripts/verify.sh portfolio  TSan portfolio suite only
-#   scripts/verify.sh solver     clause-arena + inprocessing path: solver
-#                                and simplify suites + the portfolio/
-#                                warm-start/inprocessing verdict-agreement
-#                                fuzz oracles under ASan/UBSan, then the
+#   scripts/verify.sh solver     clause-arena + inprocessing path: solver,
+#                                simplify and MaxSAT/lex suites + the
+#                                portfolio/warm-start/inprocessing
+#                                verdict-agreement fuzz oracles under
+#                                ASan/UBSan, then the
 #                                bench_propagation Solver props/sec floor
 #                                and the bench_solver_ablation gate
 #   scripts/verify.sh server     HTTP server: unit + TSan + live smoke +
@@ -61,7 +62,9 @@ run_solver() {
     # (subsumption/vivification/elimination) are exactly the code where a
     # stale ClauseRef turns into silent memory corruption, so the solver
     # unit suite, the inprocessing verdict-agreement fuzz oracles, and the
-    # portfolio/warm-start oracles run under ASan/UBSan; then
+    # portfolio/warm-start oracles run under ASan/UBSan. So do the MaxSAT
+    # and lexicographic suites: their improving solve() swaps the bound
+    # assumption and backtracks mid-search, from a model hook; then
     # bench_propagation (plain tree) must show sat::Solver propagating
     # exactly the planted schedule with no conflict at or above its
     # props/sec floor, and bench_solver_ablation --smoke must show
@@ -69,11 +72,11 @@ run_solver() {
     echo "== solver: arena suite + fuzz oracles under ASan/UBSan + gates =="
     cmake -B "$root/build-asan" -S "$root" -DLAR_SANITIZE=address,undefined
     cmake --build "$root/build-asan" -j"$jobs" --target \
-        sat_test portfolio_test warmstart_test simplify_test \
+        sat_test opt_test portfolio_test warmstart_test simplify_test \
         bench_solver_ablation
     (cd "$root/build-asan" && ASAN_OPTIONS=detect_leaks=0 \
         ctest --output-on-failure -R \
-        '^(Lit\.|Solver\.|Dimacs\.|SolverSnapshot\.|Simplify\.|SimplifyOracle\.)|SolverConfigTest|PortfolioVerdictAgreementTest|ClauseImportSoundnessTest|WarmStartOracle')
+        '^(Lit\.|Solver\.|Dimacs\.|SolverSnapshot\.|Simplify\.|SimplifyOracle\.|MaxSat\.|Lex\.)|SolverConfigTest|PortfolioVerdictAgreementTest|ClauseImportSoundnessTest|WarmStartOracle')
 
     echo "-- bench: solver ablation smoke under ASan/UBSan --"
     (cd "$root/build-asan" && ASAN_OPTIONS=detect_leaks=0 \

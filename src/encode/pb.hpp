@@ -46,6 +46,10 @@ public:
     /// Attainable sums in ascending order (clamped representative last).
     [[nodiscard]] const std::vector<std::int64_t>& sums() const { return sums_; }
 
+    /// Root output literals, parallel to sums(): outputs()[i] is forced true
+    /// whenever the weighted sum is ≥ sums()[i].
+    [[nodiscard]] const std::vector<sat::Lit>& outputs() const { return outputs_; }
+
     /// Largest attainable (possibly clamped) sum; 0 when there are no terms.
     [[nodiscard]] std::int64_t maxSum() const {
         return sums_.empty() ? 0 : sums_.back();

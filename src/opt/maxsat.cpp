@@ -53,39 +53,35 @@ std::optional<std::int64_t> minimizeAndLock(encode::CnfBuilder& builder,
         return cost;
     }
 
-    // Counter clamped just above the first cost: tighter bounds only.
+    // Counter clamped just above the first cost: tighter bounds only. Its
+    // outputs are the bounds the improving hook swaps in mid-search, so they
+    // must keep their identity through inprocessing.
     const encode::PbSum counter(
         builder, std::span<const std::vector<encode::PbTerm>>(groups),
         /*clampAt=*/cost + 1);
-    while (cost > 0) {
-        assume.assign(assumptions.begin(), assumptions.end());
-        assume.push_back(counter.atMostLit(builder, cost - 1));
-        const sat::SolveResult step = solver.solve(assume);
-        if (step == sat::SolveResult::Unknown) {
-            // Budget exhausted mid-descent: keep the best bound found so far
-            // (anytime behaviour). The caller sees it via *unknown.
-            flagUnknown();
-            break;
-        }
-        if (step != sat::SolveResult::Sat) break;
-        const std::int64_t improved = encode::evalPb(solver, penalties);
-        ensures(improved < cost, "minimizeAndLock: cost failed to decrease");
-        cost = improved;
-        util::logAt(util::LogLevel::Debug, "maxsat: improved cost to ", cost);
-    }
+    for (const sat::Lit out : counter.outputs()) solver.freeze(out.var());
 
-    // Lock the optimum and restore the optimal model.
+    // One solution-improving search for the whole level: every model found
+    // under atMost(cost-1) tightens that last assumption to the new cost-1,
+    // until the bound is refuted (the last model is optimal) or a budget
+    // stops the search (the last model is the best bound so far).
+    assume.push_back(counter.atMostLit(builder, cost - 1));
+    const sat::SolveResult descent =
+        solver.solve(assume, [&]() -> std::optional<sat::Lit> {
+            const std::int64_t improved = encode::evalPb(solver, penalties);
+            ensures(improved < cost, "minimizeAndLock: cost failed to decrease");
+            cost = improved;
+            util::logAt(util::LogLevel::Debug, "maxsat: improved cost to ", cost);
+            if (cost == 0) return std::nullopt;
+            return counter.atMostLit(builder, cost - 1);
+        });
+    ensures(descent != sat::SolveResult::Sat || cost == 0,
+            "minimizeAndLock: improving search stopped above cost 0");
+    if (descent == sat::SolveResult::Unknown) flagUnknown();
+
+    // Lock the optimum (or the best bound) as a hard constraint. The model
+    // attaining it is still loaded: solve() only replaces it with a better one.
     builder.assertLit(counter.atMostLit(builder, cost));
-    assume.assign(assumptions.begin(), assumptions.end());
-    const sat::SolveResult final = solver.solve(assume);
-    if (final == sat::SolveResult::Unknown) {
-        // The lock-in re-solve was interrupted; the last Sat model (which
-        // attains `cost`) is still loaded, so callers can read it.
-        flagUnknown();
-        return cost;
-    }
-    ensures(final == sat::SolveResult::Sat,
-            "minimizeAndLock: formula infeasible after locking optimum");
     return cost;
 }
 

@@ -4,10 +4,13 @@
 // better than Linux on throughput when load ≥ 40 Gbps") into weighted soft
 // constraints and optimizes them per objective, in the priority order the
 // architect declares (Listing 3: Optimize(latency > Hardware cost >
-// monitoring)). The optimizer runs a linear SAT→UNSAT search over an
-// incremental Generalized-Totalizer objective counter: each improving model
-// tightens the bound by assumption, and the final bound is locked as a hard
-// constraint before the next objective level runs.
+// monitoring)). The optimizer runs a linear SAT→UNSAT search over a
+// Generalized-Totalizer objective counter, as one solution-improving
+// solve() per objective level: the counter bound is the last assumption,
+// every better model swaps in the next tighter bound mid-search, and the
+// search ends when the bound is refuted. The final bound is then locked as
+// a hard constraint (no re-solve — the optimal model stays loaded) before
+// the next objective level runs.
 #pragma once
 
 #include <cstdint>
@@ -56,10 +59,19 @@ struct LexResult {
 /// in the solver and the bound locked in as a hard constraint (so later
 /// optimization levels preserve it).
 ///
-/// When the solver returns Unknown (budget, deadline, or cancellation),
-/// `*unknown` is set (if provided) and the search degrades gracefully:
-/// Unknown before any model → std::nullopt (feasibility unproven); Unknown
-/// mid-improvement → the best cost found so far, locked as usual.
+/// At most two solve() calls: one plain solve for a first model (and, when
+/// its cost is above 0, the objective counter built from it), then one
+/// solution-improving solve (Solver::solve with a model hook) that tightens
+/// the counter bound on every better model until the bound is refuted.
+///
+/// Budgets: the solver's timeBudgetMs and conflict/propagation budgets
+/// apply per solve() call, so each bounds a whole objective level's search,
+/// not a single improvement step. When the solver returns Unknown (budget,
+/// deadline, or cancellation), `*unknown` is set (if provided) and the
+/// search degrades gracefully: Unknown before any model → std::nullopt
+/// (feasibility unproven); Unknown mid-improvement → the best cost found so
+/// far, locked as usual, with the model attaining it loaded (anytime
+/// behaviour).
 std::optional<std::int64_t> minimizeAndLock(encode::CnfBuilder& builder,
                                             std::span<const SoftConstraint> softs,
                                             std::span<const sat::Lit> assumptions = {},

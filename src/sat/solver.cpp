@@ -598,6 +598,11 @@ void Solver::maybeGarbageCollect() {
 
 void Solver::removeSatisfiedAtLevelZero() {
     expects(decisionLevel() == 0, "removeSatisfied: requires level 0");
+    // The level-0 trail only grows, and addClauseInternal/importSharedClauses
+    // drop clauses already satisfied at level 0 on entry, so a stored clause
+    // can only have become satisfied if the trail grew since the last sweep.
+    if (trail_.size() == trailAtLastSweep_) return;
+    trailAtLastSweep_ = trail_.size();
     // The whole trail is level 0 here; level-0 facts never participate in
     // conflict analysis again, so their reasons can be dropped. This is what
     // makes freeing a satisfied clause safe: nothing references it anymore.
@@ -895,6 +900,10 @@ std::int64_t Solver::luby(std::int64_t i) {
 }
 
 SolveResult Solver::solve(std::span<const Lit> assumptions) {
+    return solve(assumptions, {});
+}
+
+SolveResult Solver::solve(std::span<const Lit> assumptions, const ModelHook& onModel) {
     // Threading contract (see SolverOptions): one solve() at a time.
     expects(!solveActive_.exchange(true, std::memory_order_acq_rel),
             "solve: concurrent solve() on one Solver instance");
@@ -906,6 +915,8 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
     ++stats_.solves;
     core_.clear();
     if (!ok_) return SolveResult::Unsat;
+    expects(!onModel || !assumptions.empty(),
+            "solve: an improving hook needs a bound assumption to tighten");
     assumptions_.assign(assumptions.begin(), assumptions.end());
     for (const Lit a : assumptions_)
         expects(a.var() >= 0 && a.var() < numVars(), "solve: unknown assumption var");
@@ -975,11 +986,7 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
         }
     }
 
-    const SolveResult result = search();
-    if (result == SolveResult::Sat) {
-        model_ = assigns_;
-        extendModel();
-    }
+    const SolveResult result = search(onModel);
     backtrackTo(0);
     stats_.arenaWasteBytes = arena_.wastedWords() * sizeof(std::uint32_t);
     return result;
@@ -1021,7 +1028,7 @@ void Solver::reportProgress() {
     opts_.progressFn(progress);
 }
 
-SolveResult Solver::search() {
+SolveResult Solver::search(const ModelHook& onModel) {
     std::vector<Lit> learnt;
 
     while (true) {
@@ -1156,7 +1163,21 @@ SolveResult Solver::search() {
             }
         }
         const Lit next = pickBranchLit();
-        if (!next.isDefined()) return SolveResult::Sat;
+        if (!next.isDefined()) {
+            model_ = assigns_;
+            extendModel();
+            if (!onModel) return SolveResult::Sat;
+            const std::optional<Lit> tighter = onModel();
+            if (!tighter.has_value()) return SolveResult::Sat;
+            expects(tighter->var() >= 0 && tighter->var() < numVars() &&
+                        isFrozen(tighter->var()),
+                    "solve: improving hook returned an unfrozen literal");
+            // Swap in the tighter bound and resume just above it: the
+            // learnt clauses and the trail below the bound stay valid.
+            assumptions_.back() = *tighter;
+            backtrackTo(static_cast<int>(assumptions_.size()) - 1);
+            continue;
+        }
         ++stats_.decisions;
         newDecisionLevel();
         enqueue(next, Reason::none());

@@ -16,7 +16,9 @@
 //     compaction (garbage collection) once the freed fraction crosses a
 //     threshold, exact learnt-memory accounting for the memory budget,
 //   * incremental solving under assumptions with unsat-core extraction
-//     (failed-assumption analysis), and
+//     (failed-assumption analysis), plus a solution-improving solve that
+//     tightens its last assumption on every model (linear optimization in
+//     one search), and
 //   * an inprocessing pipeline (src/sat/simplify/) run at solve() start and
 //     at restart boundaries.
 #pragma once
@@ -25,6 +27,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -258,6 +261,20 @@ public:
     /// see the threading contract above the sharing hooks in SolverOptions.
     SolveResult solve(std::span<const Lit> assumptions = {});
 
+    /// Solution-improving solve. Each time the search reaches a full
+    /// assignment, the model is stored (modelValue() reads it) and `onModel`
+    /// is asked for a tighter replacement of the LAST assumption. A literal
+    /// overwrites that assumption, the search backtracks to just above it
+    /// and continues; std::nullopt ends the call with Sat. Unsat or Unknown
+    /// later leave the last stored model loaded — it is the best one found.
+    /// Sound because learnt clauses never depend on assumptions; restarts
+    /// and inprocessing rounds simply re-place the current bound. The hook
+    /// runs at a non-zero decision level, so it must not add clauses or
+    /// variables, and every literal it returns must be over an existing,
+    /// frozen variable (see freeze()). `assumptions` must be non-empty.
+    using ModelHook = std::function<std::optional<Lit>()>;
+    SolveResult solve(std::span<const Lit> assumptions, const ModelHook& onModel);
+
     /// Model access after Sat: value assigned to `v` in the last model.
     [[nodiscard]] bool modelValue(Var v) const;
     [[nodiscard]] bool modelValue(Lit l) const { return modelValue(l.var()) != l.sign(); }
@@ -379,7 +396,7 @@ private:
     };
 
     // -- search ------------------------------------------------------------
-    SolveResult search();
+    SolveResult search(const ModelHook& onModel);
     Lit pickBranchLit();
     bool enqueue(Lit l, Reason from);
     Conflict propagate();
@@ -413,6 +430,8 @@ private:
     /// Drains importClausesFn at decision level 0; false → formula became
     /// Unsat (an imported clause is empty under the level-0 assignment).
     bool importSharedClauses();
+    /// Drops clauses satisfied at level 0 and clears level-0 reasons; returns
+    /// at once when the level-0 trail has not grown since the last sweep.
     void removeSatisfiedAtLevelZero();
     void reduceLearntDb();
     /// Relocates every live clause into a fresh arena, dropping the wasted
@@ -512,6 +531,7 @@ private:
     std::vector<Lit> analyzeStack_;
 
     std::vector<lbool> model_;
+    std::size_t trailAtLastSweep_ = 0; ///< level-0 trail size at the last sweep
 
     double maxLearnts_ = 0;
     StopReason stopReason_ = StopReason::None;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "encode/cnf_builder.hpp"
 #include "opt/maxsat.hpp"
 #include "util/rng.hpp"
@@ -141,7 +143,11 @@ TEST(MaxSat, RandomizedMatchesExhaustiveOptimum) {
                 if (!a[static_cast<std::size_t>(i)]) cost += weights[static_cast<std::size_t>(i)];
             if (best < 0 || cost < best) best = cost;
         }
+        const std::uint64_t solvesBefore = s.stats().solves;
         const auto cost = minimizeAndLock(b, softs);
+        // One plain solve for a first model, one improving solve for the
+        // rest of the level — never a re-solve per improvement or a lock.
+        EXPECT_LE(s.stats().solves - solvesBefore, 2u) << "round " << round;
         if (best < 0) {
             EXPECT_FALSE(cost.has_value()) << "round " << round;
         } else {
@@ -149,6 +155,100 @@ TEST(MaxSat, RandomizedMatchesExhaustiveOptimum) {
             EXPECT_EQ(*cost, best) << "round " << round;
         }
     }
+}
+
+/// Pigeons that each want a hole, at most one pigeon per hole: the soft
+/// "pigeon i is placed" is violated for every pigeon left out. The optimum
+/// leaves pigeons − holes out, and proving nothing better exists is a
+/// pigeonhole refutation, which costs CDCL many conflicts.
+std::vector<SoftConstraint> buildPigeonhole(CnfBuilder& b, int pigeons, int holes) {
+    std::vector<std::vector<Lit>> in(static_cast<std::size_t>(pigeons));
+    for (auto& row : in)
+        for (int h = 0; h < holes; ++h) row.push_back(b.newLit());
+    for (int h = 0; h < holes; ++h)
+        for (int i = 0; i < pigeons; ++i)
+            for (int k = i + 1; k < pigeons; ++k)
+                b.addClause(~in[static_cast<std::size_t>(i)][static_cast<std::size_t>(h)],
+                            ~in[static_cast<std::size_t>(k)][static_cast<std::size_t>(h)]);
+    std::vector<SoftConstraint> softs;
+    for (const auto& row : in) {
+        const Lit placed = b.newLit();
+        std::vector<Lit> clause{~placed};
+        clause.insert(clause.end(), row.begin(), row.end());
+        b.addClause(std::move(clause));
+        softs.push_back({placed, 1});
+    }
+    return softs;
+}
+
+/// Exhaustive optimum of buildPigeonhole: every map pigeon → {no hole,
+/// hole 0..holes-1}. Putting a pigeon in several holes never places more
+/// pigeons, so these maps attain every achievable cost.
+std::int64_t pigeonholeOptimum(int pigeons, int holes) {
+    std::int64_t best = pigeons;
+    std::vector<int> slot(static_cast<std::size_t>(pigeons), 0); // 0 = none
+    while (true) {
+        std::vector<int> used(static_cast<std::size_t>(holes), 0);
+        bool ok = true;
+        std::int64_t cost = 0;
+        for (const int h : slot) {
+            if (h == 0) {
+                ++cost;
+            } else if (used[static_cast<std::size_t>(h - 1)]++ > 0) {
+                ok = false;
+            }
+        }
+        if (ok) best = std::min(best, cost);
+        std::size_t i = 0;
+        while (i < slot.size() && ++slot[i] > holes) slot[i++] = 0;
+        if (i == slot.size()) break;
+    }
+    return best;
+}
+
+TEST(MaxSat, BudgetStopAfterAnImprovementKeepsBestModel) {
+    // Anytime behaviour: a conflict budget that runs out inside the
+    // improving search, after at least one better model, must report
+    // unknown and return the best cost found, with the model attaining it
+    // loaded. The budget applies per solve(), i.e. to the whole level.
+    constexpr int kPigeons = 6;
+    constexpr int kHoles = 5;
+    const std::int64_t optimum = pigeonholeOptimum(kPigeons, kHoles);
+    ASSERT_EQ(optimum, kPigeons - kHoles);
+    int stoppedAfterImproving = 0;
+    for (std::int64_t budget = 1; budget <= 200; ++budget) {
+        sat::SolverOptions opts;
+        opts.conflictBudget = budget;
+        // The first solve() of minimizeAndLock, replayed on an identical
+        // solver: solving is deterministic, so this is its first model.
+        Solver first(opts);
+        CnfBuilder firstBuilder(first);
+        const std::vector<SoftConstraint> firstSofts =
+            buildPigeonhole(firstBuilder, kPigeons, kHoles);
+        if (first.solve() != SolveResult::Sat) continue;
+        std::int64_t firstCost = 0;
+        for (const SoftConstraint& soft : firstSofts)
+            if (!first.modelValue(soft.lit)) firstCost += soft.weight;
+
+        Solver s(opts);
+        CnfBuilder b(s);
+        const std::vector<SoftConstraint> softs = buildPigeonhole(b, kPigeons, kHoles);
+        bool unknown = false;
+        const auto cost = minimizeAndLock(b, softs, {}, &unknown);
+        ASSERT_TRUE(cost.has_value()) << "budget " << budget;
+        std::int64_t loaded = 0;
+        for (const SoftConstraint& soft : softs)
+            if (!s.modelValue(soft.lit)) loaded += soft.weight;
+        EXPECT_EQ(*cost, loaded) << "budget " << budget;
+        EXPECT_GE(*cost, optimum) << "budget " << budget;
+        if (!unknown) {
+            EXPECT_EQ(*cost, optimum) << "budget " << budget;
+        } else if (*cost < firstCost) {
+            ++stoppedAfterImproving;
+        }
+    }
+    EXPECT_GT(stoppedAfterImproving, 0)
+        << "no budget ran out after an improvement";
 }
 
 TEST(Lex, TwoLevelPriority) {

@@ -361,6 +361,98 @@ TEST(Solver, AnalyzeResolvesBinaryReasonsInFirstUipCut) {
     EXPECT_FALSE(s.modelValue(a));
 }
 
+/// Sinz sequential counter over `xs`, one direction only (enough for upper
+/// bounds): returns geq where geq[j] is forced true whenever at least j+1
+/// of `xs` are true. So ~geq[b] enforces "at most b true".
+std::vector<Lit> countAtLeast(Solver& s, const std::vector<Lit>& xs) {
+    std::vector<Lit> prev;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        std::vector<Lit> cur;
+        for (std::size_t j = 0; j <= i; ++j) {
+            const Lit out = mkLit(s.newVar());
+            if (j < prev.size()) s.addClause(~prev[j], out);
+            if (j == 0)
+                s.addClause(~xs[i], out);
+            else
+                s.addClause(~xs[i], ~prev[j - 1], out);
+            cur.push_back(out);
+        }
+        prev = std::move(cur);
+    }
+    return prev;
+}
+
+TEST(Solver, ImprovingSolveMatchesDescentOfSeparateSolves) {
+    // Minimize the number of true variables over random 3-SAT, twice per
+    // instance: by one solve() whose model hook swaps a tighter bound into
+    // the last assumption, and by a plain descent of separate solve() calls
+    // under ever tighter bounds. Both must reach the same optimum, in one
+    // hooked solve() call, with the final model satisfying the formula and
+    // attaining the optimum. restartBase 1 forces restarts (and inprocessing
+    // rounds) in the middle of the hooked search, so the swapped-in bound is
+    // re-placed after each of them.
+    util::Rng rng(777);
+    int improvements = 0;
+    for (const int restartBase : {100, 1}) {
+        for (int round = 0; round < 12; ++round) {
+            const Cnf cnf = randomKSat(rng, 24, 80, 3);
+            SolverOptions opts;
+            opts.restartBase = restartBase;
+            std::vector<Lit> objective;
+            for (Var v = 0; v < cnf.numVars; ++v) objective.push_back(mkLit(v));
+            const auto costOf = [&](const Solver& s) {
+                int cost = 0;
+                for (const Lit l : objective) cost += s.modelValue(l) ? 1 : 0;
+                return cost;
+            };
+
+            Solver plain(opts);
+            loadCnf(plain, cnf);
+            const std::vector<Lit> plainGeq = countAtLeast(plain, objective);
+            const SolveResult plainFirst = plain.solve();
+            int best = costOf(plain);
+            while (plainFirst == SolveResult::Sat && best > 0) {
+                const std::vector<Lit> bound{~plainGeq[static_cast<std::size_t>(best - 1)]};
+                if (plain.solve(bound) != SolveResult::Sat) break;
+                best = costOf(plain);
+            }
+
+            Solver hooked(opts);
+            loadCnf(hooked, cnf);
+            const std::vector<Lit> geq = countAtLeast(hooked, objective);
+            for (const Lit out : geq) hooked.freeze(out.var());
+            ASSERT_EQ(hooked.solve(), plainFirst) << "round " << round;
+            if (plainFirst != SolveResult::Sat) continue;
+            int cost = costOf(hooked);
+            if (cost > 0) {
+                const std::uint64_t solvesBefore = hooked.stats().solves;
+                const std::vector<Lit> bound{~geq[static_cast<std::size_t>(cost - 1)]};
+                const SolveResult r =
+                    hooked.solve(bound, [&]() -> std::optional<Lit> {
+                        const int improved = costOf(hooked);
+                        if (improved >= cost) {
+                            ADD_FAILURE() << "the model under the bound did not improve";
+                            return std::nullopt;
+                        }
+                        cost = improved;
+                        ++improvements;
+                        if (cost == 0) return std::nullopt;
+                        return ~geq[static_cast<std::size_t>(cost - 1)];
+                    });
+                EXPECT_EQ(r, cost == 0 ? SolveResult::Sat : SolveResult::Unsat);
+                EXPECT_EQ(hooked.stats().solves, solvesBefore + 1);
+            }
+            EXPECT_EQ(cost, best) << "restartBase " << restartBase << " round " << round;
+            std::vector<bool> model(static_cast<std::size_t>(cnf.numVars));
+            for (Var v = 0; v < cnf.numVars; ++v)
+                model[static_cast<std::size_t>(v)] = hooked.modelValue(v);
+            EXPECT_TRUE(satisfies(cnf, model)) << "round " << round;
+            EXPECT_EQ(costOf(hooked), cost) << "round " << round;
+        }
+    }
+    EXPECT_GT(improvements, 0) << "no instance exercised the hook";
+}
+
 // --- Parameterized property suite: solver configs × random instances -------
 
 struct ConfigCase {
