@@ -17,6 +17,10 @@ namespace lar::encode {
 class CnfBuilder {
 public:
     explicit CnfBuilder(sat::Solver& solver) : solver_(&solver) {}
+    /// Builder over a solver that already holds `trueLit` as a unit (a
+    /// clone of a prepared solver); kUndefLit when none was created.
+    CnfBuilder(sat::Solver& solver, sat::Lit trueLit)
+        : solver_(&solver), true_(trueLit) {}
 
     /// The underlying solver.
     [[nodiscard]] sat::Solver& solver() { return *solver_; }
@@ -26,6 +30,8 @@ public:
 
     /// Constant-true literal (created lazily, one per builder).
     [[nodiscard]] sat::Lit trueLit();
+    /// The constant-true literal if one was created, else kUndefLit.
+    [[nodiscard]] sat::Lit existingTrueLit() const { return true_; }
     /// Constant-false literal.
     [[nodiscard]] sat::Lit falseLit() { return ~trueLit(); }
 

@@ -64,9 +64,10 @@ struct LexResult {
 /// solution-improving solve (Solver::solve with a model hook) that tightens
 /// the counter bound on every better model until the bound is refuted.
 ///
-/// Budgets: the solver's timeBudgetMs and conflict/propagation budgets
-/// apply per solve() call, so each bounds a whole objective level's search,
-/// not a single improvement step. When the solver returns Unknown (budget,
+/// Budgets: the solver's conflict/propagation budgets apply per solve()
+/// call, so each bounds a whole objective level's search, not a single
+/// improvement step; the Solver::setDeadline deadline (what a query's
+/// timeout becomes) bounds all levels together. When the solver returns Unknown (budget,
 /// deadline, or cancellation), `*unknown` is set (if provided) and the
 /// search degrades gracefully: Unknown before any model → std::nullopt
 /// (feasibility unproven); Unknown mid-improvement → the best cost found so

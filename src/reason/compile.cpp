@@ -8,6 +8,7 @@
 #include "kb/objectives.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "smt/cdcl_backend.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -637,6 +638,24 @@ void Compilation::buildObjectives() {
 // Lookups and extraction
 // ---------------------------------------------------------------------------
 
+Compilation::~Compilation() = default;
+
+void Compilation::prepare(smt::CdclBackend& backend) const {
+    // The second prepared session keeps the image every later one clones;
+    // a fingerprint seen once never pays for one.
+    const int earlier = prepares_.fetch_add(1);
+    if (!backend.prepare() || earlier < 1) return;
+    std::call_once(imageOnce_, [&] {
+        imageOwner_ = backend.image();
+        image_.store(imageOwner_.get(), std::memory_order_release);
+    });
+}
+
+std::size_t Compilation::preparedBytes() const {
+    const smt::CdclImage* image = preparedImage();
+    return image == nullptr ? 0 : image->bytes();
+}
+
 smt::NodeId Compilation::systemVar(const std::string& name) const {
     const auto it = systemVars_.find(name);
     return it == systemVars_.end() ? smt::kInvalidNode : it->second;
@@ -758,12 +777,19 @@ SolverSession::SolverSession(std::shared_ptr<const Compilation> compilation,
     expects(compilation_ != nullptr, "SolverSession: null compilation");
     smt::BackendConfig config = options.backendConfig();
     if (config.progressEveryConflicts > 0) config.progressFn = &recordSolverProgress;
-    backend_ = smt::makeBackend(options.backend, store_, config);
-    const obs::Span span("encode");
-    for (const Compilation::HardAssertion& hard : compilation_->hardAssertions())
-        backend_->addHard(hard.formula, hard.track);
-    // The replayed hard assertions are the snapshot baseline: state exported
-    // now is sound in any other session over the same compilation.
+    const bool preparable = options.backend == smt::BackendKind::Cdcl &&
+                            config.portfolioWorkers <= 1 && config.simplify;
+    const smt::CdclImage* image = preparable ? compilation_->preparedImage() : nullptr;
+    const obs::Span span(image != nullptr ? "clone" : preparable ? "prepare" : "encode");
+    backend_ = smt::makeBackend(options.backend, store_, config, image);
+    if (image == nullptr) {
+        for (const Compilation::HardAssertion& hard : compilation_->hardAssertions())
+            backend_->addHard(hard.formula, hard.track);
+        if (preparable) compilation_->prepare(static_cast<smt::CdclBackend&>(*backend_));
+    }
+    // The prepared (or replayed) hard assertions are the snapshot baseline:
+    // state exported now is sound in any other session over the same
+    // compilation, since every session reaches the identical state.
     backend_->markSnapshotBaseline();
     if (options.warmStart != nullptr && !options.warmStart->empty()) {
         warmStartImported_ = backend_->importSnapshot(*options.warmStart);

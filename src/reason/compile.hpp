@@ -6,13 +6,27 @@
 //   fact/<name>       — derived fact holds (defined as OR of providers + pin)
 //   opt/<name>        — free deployment option switched on
 //
-// A Compilation is built once per (Problem, KB revision) and is immutable
-// afterwards: it owns the formula store, the recorded hard assertions, the
-// objective stack, and the variable maps, but **no solver**. Queries bind a
+// A Compilation is built once per (Problem, KB revision): it owns the
+// formula store, the recorded hard assertions, the objective stack and the
+// variable maps, all immutable after construction. Queries bind a
 // SolverSession to it, which copies the store (node ids are preserved, so
-// the compilation's variable maps stay valid), replays the hard assertions
-// into a fresh backend, and owns all mutable solve state. This is what lets
-// the Service cache compilations and share one across concurrent queries.
+// the compilation's variable maps stay valid) and owns all mutable solve
+// state. This is what lets the Service cache compilations and share one
+// across concurrent queries.
+//
+// The one lazily written part is the *prepared image*. A single-worker CDCL
+// session with inprocessing on does not solve the bare replay: it first
+// prepares it — the hard assertions through Tseitin with every selector
+// and Var node frozen, then the first inprocessing round (see
+// sat::Solver::prepare) — and adds query work (objective softs, blocking
+// clauses, assumptions, the warm-start import) only on top. The first such
+// session over a Compilation solves on its fresh prepared state; the
+// second also keeps a compact, immutable image of it here
+// (Compilation::prepare, once, under std::call_once); every later one clones that image (smt::CdclImage)
+// instead of replaying and inprocessing, and then searches exactly as the
+// fresh state would. A fingerprint seen once never holds an image, and an
+// image lives and dies with its Compilation (the Service's compile LRU
+// entry). Z3, portfolio and inprocessing-off sessions still replay.
 //
 // Every hard rule asserted into a backend carries a track id whose
 // human-readable description is kept in trackedRules(); unsat cores map back
@@ -20,8 +34,10 @@
 // requirements are in conflict").
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -30,6 +46,11 @@
 #include "reason/query_options.hpp"
 #include "smt/backend.hpp"
 
+namespace lar::smt {
+class CdclBackend;
+struct CdclImage;
+} // namespace lar::smt
+
 namespace lar::reason {
 
 class Compilation {
@@ -37,6 +58,7 @@ public:
     /// Compiles `problem` into formulas. The problem is copied; the
     /// knowledge base it references must outlive the compilation.
     explicit Compilation(const Problem& problem);
+    ~Compilation();
 
     /// One recorded hard constraint; track < 0 means untracked
     /// (definitional — never part of an explanation).
@@ -79,6 +101,19 @@ public:
     [[nodiscard]] smt::NodeId blockingClause(const smt::Backend& backend,
                                              smt::FormulaStore& store) const;
 
+    /// Brings `backend`, with the hard assertions replayed, to the prepared
+    /// state (smt::CdclBackend::prepare). From the second call on, the
+    /// first prepare that is not cut short leaves its image here. Safe from
+    /// any thread.
+    void prepare(smt::CdclBackend& backend) const;
+    /// The kept prepared image (nullptr until a second prepared session
+    /// stored one). Safe from any thread.
+    [[nodiscard]] const smt::CdclImage* preparedImage() const {
+        return image_.load(std::memory_order_acquire);
+    }
+    /// Exact bytes the kept image holds (0 without one).
+    [[nodiscard]] std::size_t preparedBytes() const;
+
 private:
     // -- construction passes --------------------------------------------------
     void collectFactsAndOptions();
@@ -118,13 +153,20 @@ private:
 
     std::vector<std::string> ruleDescriptions_;
     std::vector<smt::ObjectiveSpec> objectives_;
+
+    // The prepared image: written once, by the second prepared session.
+    mutable std::atomic<int> prepares_{0}; ///< prepared sessions so far
+    mutable std::once_flag imageOnce_;
+    mutable std::unique_ptr<const smt::CdclImage> imageOwner_;
+    mutable std::atomic<const smt::CdclImage*> image_{nullptr};
 };
 
 /// A query's mutable solver state over an immutable (possibly shared,
 /// possibly cached) Compilation: a private copy of the formula store plus a
-/// fresh backend with the hard assertions replayed. Everything a query
-/// locks in — optimization bounds, blocking clauses, learned clauses —
-/// stays inside the session and dies with it.
+/// backend holding the hard assertions — prepared fresh, cloned from the
+/// compilation's image, or (Z3, portfolio, inprocessing off) replayed.
+/// Everything a query locks in — optimization bounds, blocking clauses,
+/// learned clauses — stays inside the session and dies with it.
 class SolverSession {
 public:
     explicit SolverSession(std::shared_ptr<const Compilation> compilation,

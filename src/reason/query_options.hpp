@@ -27,7 +27,8 @@ struct QueryOptions {
     /// this is an END-TO-END deadline measured from submission: queue wait
     /// and compilation are deducted before the solver starts, and a request
     /// that expires while still queued answers TimedOut without solving.
-    /// Used directly (Engine, WhatIfSession) it bounds each solver call.
+    /// Used directly it bounds a whole Engine query (its prepare round and
+    /// every solver call share one deadline) or one WhatIfSession ask.
     /// On exhaustion the query's Answer carries Verdict::TimedOut (the typed
     /// Engine methods: FeasibilityReport::timedOut, or nullopt).
     int timeoutMs = 0;

@@ -72,6 +72,8 @@ struct ServiceMetrics {
     obs::Counter& satProbes;
     obs::Counter& satArenaGcs;
     obs::Gauge& satArenaWaste;
+    obs::Gauge& preparedImages;
+    obs::Gauge& preparedBytes;
     obs::Counter& sessionAsks;
     obs::Histogram& askLatencyMs;
     obs::Counter* queriesByKind[5];
@@ -161,6 +163,11 @@ struct ServiceMetrics {
                 reg.gauge("lar_sat_arena_waste_bytes",
                           "Dead clause bytes awaiting arena compaction "
                           "(last query's solver)"),
+                reg.gauge("lar_prepared_images",
+                          "Prepared solver images held by the compile cache"),
+                reg.gauge("lar_prepared_bytes",
+                          "Exact heap bytes of the prepared solver images in "
+                          "the compile cache"),
                 reg.counter("lar_session_asks_total",
                             "Variations answered across all sessions"),
                 reg.histogram("lar_session_ask_latency_ms",
@@ -771,11 +778,30 @@ CacheStats Service::cacheStats() const {
 }
 
 void Service::clearCache() {
-    const std::lock_guard<std::mutex> lock(cacheMutex_);
-    lru_.clear();
-    index_.clear();
-    snapLru_.clear();
-    snapIndex_.clear();
+    {
+        const std::lock_guard<std::mutex> lock(cacheMutex_);
+        lru_.clear();
+        index_.clear();
+        snapLru_.clear();
+        snapIndex_.clear();
+    }
+    (void)preparedTotals();
+}
+
+PreparedTotals Service::preparedTotals() const {
+    PreparedTotals totals;
+    {
+        const std::lock_guard<std::mutex> lock(cacheMutex_);
+        for (const auto& [key, compilation] : lru_) {
+            const std::size_t bytes = compilation->preparedBytes();
+            totals.images += bytes > 0 ? 1 : 0;
+            totals.bytes += bytes;
+        }
+    }
+    ServiceMetrics& metrics = ServiceMetrics::get();
+    metrics.preparedImages.set(static_cast<double>(totals.images));
+    metrics.preparedBytes.set(static_cast<double>(totals.bytes));
+    return totals;
 }
 
 } // namespace lar::reason

@@ -172,6 +172,13 @@ struct InprocessingTotals {
     double arenaWasteBytes = 0.0; ///< the last query's solver (a gauge)
 };
 
+/// Prepared images (see Compilation) held by the compile cache right now:
+/// the lar_prepared_images / lar_prepared_bytes gauges.
+struct PreparedTotals {
+    std::size_t images = 0;
+    std::size_t bytes = 0; ///< exact heap bytes of those images
+};
+
 struct CacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -255,6 +262,11 @@ public:
 
     /// Reads the lar_sat_* counters this Service registers (for /statusz).
     [[nodiscard]] InprocessingTotals inprocessingTotals() const;
+    /// Counts the prepared images the compile cache holds and publishes
+    /// the count and bytes as the lar_prepared_* gauges. Walks the cache
+    /// under its lock, so only readers call it: /statusz, /metrics, a
+    /// metrics dump, and clearCache().
+    PreparedTotals preparedTotals() const;
 
 private:
     struct CacheKey {

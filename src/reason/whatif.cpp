@@ -50,6 +50,7 @@ Answer WhatIfSession::ask(const Variation& variation) {
     if (!answer.unknownNames.empty()) {
         answer.verdict = Verdict::Error;
     } else {
+        backend.restartDeadline(); // timeoutMs bounds each ask
         const smt::CheckStatus status = backend.check(assumptions);
         answer.verdict = verdictOf(status, backend.lastStopReason(), options_);
         if (status == smt::CheckStatus::Sat)

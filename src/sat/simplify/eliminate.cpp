@@ -207,10 +207,8 @@ bool Simplifier::eliminate() {
 
         // Stash every problem clause (both phases, current literals) for
         // restoration, and feed the smaller phase to the extender.
-        auto& stash = s_.elimStash_[v];
-        stash.clear();
-        for (const auto& c : posClauses) stash.push_back(c);
-        for (const auto& c : negClauses) stash.push_back(c);
+        for (const auto& c : posClauses) s_.elimStash_.push(v, c);
+        for (const auto& c : negClauses) s_.elimStash_.push(v, c);
 
         const bool storePos = np <= nn;
         const Lit witness = storePos ? pos : neg;

@@ -1,12 +1,52 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "sat/types.hpp"
 
 namespace lar::sat {
+
+// Clauses tagged with the variable they belong to, in push order. Stored
+// flat — one literal buffer plus per-clause offsets — so a copy is three
+// memcpys and the footprint is exact (bytes()). Used for the elimination
+// reconstruction stack (Extender) and for the stash of eliminated
+// variables' original clauses (Solver::elimStash_).
+class VarClauses {
+ public:
+  void push(Var v, std::span<const Lit> lits);
+
+  // Moves every clause of `v` (in push order) into `out` and erases them.
+  void take(Var v, std::vector<std::vector<Lit>>& out);
+
+  // Erases every clause of `v`.
+  void removeVar(Var v);
+
+  [[nodiscard]] std::size_t size() const { return vars_.size(); }
+  [[nodiscard]] bool empty() const { return vars_.empty(); }
+  [[nodiscard]] std::span<const Lit> clause(std::size_t i) const {
+    return {lits_.data() + ends_[i] - length(i), length(i)};
+  }
+  // Exact heap footprint of the three buffers.
+  [[nodiscard]] std::size_t bytes() const {
+    return vars_.size() * sizeof(Var) + ends_.size() * sizeof(std::uint32_t) +
+           lits_.size() * sizeof(Lit);
+  }
+
+ private:
+  [[nodiscard]] std::size_t length(std::size_t i) const {
+    return ends_[i] - (i == 0 ? 0 : ends_[i - 1]);
+  }
+  // Keeps the clauses for which keep(i) holds, in order.
+  template <typename Keep>
+  void compact(Keep keep);
+
+  std::vector<Var> vars_;
+  std::vector<std::uint32_t> ends_;  // one past each clause's last literal
+  std::vector<Lit> lits_;
+};
 
 // Model-reconstruction stack for bounded variable elimination.
 //
@@ -21,11 +61,6 @@ namespace lar::sat {
 // the original formula.
 class Extender {
  public:
-  struct Entry {
-    Var var = kUndefVar;
-    std::vector<Lit> clause;  // clause[0] is the witness literal of `var`
-  };
-
   // Push one stashed clause for an eliminated variable. lits[0] must be the
   // literal of `v` contained in the clause.
   void pushClause(Var v, std::span<const Lit> lits);
@@ -35,7 +70,7 @@ class Extender {
 
   // Physically remove every entry for `v` (used when the variable is
   // restored because a new clause mentions it).
-  void removeVar(Var v);
+  void removeVar(Var v) { entries_.removeVar(v); }
 
   // Extend a model of the simplified formula to the original formula.
   // Unassigned variables are treated as false, matching Solver::modelValue.
@@ -43,10 +78,10 @@ class Extender {
 
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
-  void clear() { entries_.clear(); }
+  std::size_t bytes() const { return entries_.bytes(); }
 
  private:
-  std::vector<Entry> entries_;
+  VarClauses entries_;
 };
 
 }  // namespace lar::sat

@@ -173,12 +173,11 @@ bool Simplifier::equivalence() {
     }
 
     // Binary implication graph: collect, clear, re-add mapped + deduped.
-    std::vector<std::tuple<Lit, Lit, bool>> bins;
-    collectBinaries(bins);
+    std::vector<Solver::FlatBinary> bins = s_.flatBinaries();
     // Problem binaries first so a problem/learnt duplicate keeps the
     // stronger (problem) status.
     std::stable_partition(bins.begin(), bins.end(),
-                          [](const auto& t) { return !std::get<2>(t); });
+                          [](const Solver::FlatBinary& bin) { return bin.learnt == 0; });
     std::size_t learntCount = 0;
     for (const auto& [a, b, learnt] : bins)
         if (learnt) ++learntCount;

@@ -163,20 +163,6 @@ void Simplifier::buildOcc() {
     // Every consumer re-validates (deleted bit + actual membership scan).
 }
 
-void Simplifier::collectBinaries(
-    std::vector<std::tuple<Lit, Lit, bool>>& out) const {
-    out.clear();
-    // Entry {other} in list j belongs to the clause (¬Lit(j) ∨ other) and is
-    // mirrored once in each direction; emit the ordered one of the pair.
-    for (std::size_t j = 0; j < s_.binWatches_.size(); ++j) {
-        const Lit a = ~Lit::fromIndex(static_cast<std::int32_t>(j));
-        for (const Solver::BinWatcher& bw : s_.binWatches_[j]) {
-            if (a.index() < bw.other.index())
-                out.emplace_back(a, bw.other, bw.learnt != 0);
-        }
-    }
-}
-
 std::uint32_t Simplifier::nextStamp() {
     if (++stampGen_ == 0) {
         std::fill(stamp_.begin(), stamp_.end(), 0u);

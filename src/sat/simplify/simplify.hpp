@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <tuple>
 #include <vector>
 
 #include "sat/clause.hpp"
@@ -67,8 +66,6 @@ private:
     bool addCheckedBinary(Lit a, Lit b, bool learnt);
     /// Rebuilds occ_ (problem long clauses only) if not yet built this round.
     void buildOcc();
-    /// Collects live binaries as ordered (a, b, learnt) triples, each once.
-    void collectBinaries(std::vector<std::tuple<Lit, Lit, bool>>& out) const;
     /// Fresh stamp generation for the subset-check scratch array.
     std::uint32_t nextStamp();
 

@@ -89,9 +89,7 @@ bool Simplifier::subsume() {
     };
 
     // -- binary sources ------------------------------------------------------
-    std::vector<std::tuple<Lit, Lit, bool>> bins;
-    collectBinaries(bins);
-    for (const auto& [a, b, learnt] : bins) {
+    for (const auto& [a, b, learnt] : s_.flatBinaries()) {
         if (learnt) continue;
         if (halted()) return true;
         if (s_.value(a) != lbool::Undef || s_.value(b) != lbool::Undef)

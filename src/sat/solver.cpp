@@ -32,22 +32,22 @@ const char* toString(SimplifyStop stop) {
 // Variable / clause creation
 // ---------------------------------------------------------------------------
 
+char Solver::initialPhase(std::uint64_t seed, Var v) {
+    if (seed == 0) return 1; // default phase: assign false first
+    // Deterministic per-(seed, var) phase: splitmix64 of the pair.
+    std::uint64_t state = seed ^ (static_cast<std::uint64_t>(v) * 0x9e3779b97f4a7c15ULL);
+    state += 0x9e3779b97f4a7c15ULL;
+    std::uint64_t z = state;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<char>((z ^ (z >> 31)) & 1);
+}
+
 Var Solver::newVar() {
     const Var v = static_cast<Var>(assigns_.size());
     assigns_.push_back(lbool::Undef);
     varData_.push_back({});
-    if (opts_.randomSeed == 0) {
-        polarity_.push_back(1); // default phase: assign false first
-    } else {
-        // Deterministic per-(seed, var) phase: splitmix64 of the pair.
-        std::uint64_t state =
-            opts_.randomSeed ^ (static_cast<std::uint64_t>(v) * 0x9e3779b97f4a7c15ULL);
-        state += 0x9e3779b97f4a7c15ULL;
-        std::uint64_t z = state;
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        polarity_.push_back(static_cast<char>((z ^ (z >> 31)) & 1));
-    }
+    polarity_.push_back(initialPhase(opts_.randomSeed, v));
     activity_.push_back(0.0);
     heapIndex_.push_back(-1);
     seen_.push_back(0);
@@ -64,6 +64,7 @@ Var Solver::newVar() {
 bool Solver::addClause(std::vector<Lit> lits) {
     expects(decisionLevel() == 0, "addClause: only valid at decision level 0");
     ++addClauseCalls_;
+    prepared_ = false;
     if (!ok_) return false;
     // A new clause may mention a variable that bounded elimination removed:
     // re-activate it (and transitively, anything its stashed clauses mention)
@@ -799,6 +800,7 @@ std::size_t Solver::importSnapshot(const SolverSnapshot& snapshot) {
     // Refuse on any shape mismatch: warm-start is only sound into a solver
     // built from the identical newVar()/addClause() replay.
     if (snapshot.empty() || snapshot.numVars != numVars() || !ok_) return 0;
+    prepared_ = false;
 
     // Heuristic state first: saved phases and normalized activities.
     const auto baseline = static_cast<std::size_t>(snapshot.numVars);
@@ -871,9 +873,10 @@ Lit Solver::pickBranchLit() {
     // snapshots. restoreEliminated() re-inserts them into the heap.
     while (!heapEmpty()) {
         const Var v = heapPopMax();
-        if (value(v) == lbool::Undef &&
-            eliminated_[static_cast<std::size_t>(v)] == 0)
-            return mkLit(v, polarity_[static_cast<std::size_t>(v)] != 0);
+        if (value(v) != lbool::Undef || eliminated_[static_cast<std::size_t>(v)] != 0)
+            continue;
+        const char phase = polarity_[static_cast<std::size_t>(v)];
+        return mkLit(v, (phase == kSeedPhase ? initialPhase(opts_.randomSeed, v) : phase) != 0);
     }
     return kUndefLit;
 }
@@ -913,6 +916,7 @@ SolveResult Solver::solve(std::span<const Lit> assumptions, const ModelHook& onM
     } activeGuard{solveActive_};
 
     ++stats_.solves;
+    prepared_ = false;
     core_.clear();
     if (!ok_) return SolveResult::Unsat;
     expects(!onModel || !assumptions.empty(),
@@ -932,11 +936,8 @@ SolveResult Solver::solve(std::span<const Lit> assumptions, const ModelHook& onM
     restartCount_ = 0;
     restartLimit_ = opts_.restartBase * luby(restartCount_);
     conflictsSinceRestart_ = 0;
-    hasDeadline_ = opts_.timeBudgetMs >= 0;
     solveStart_ = std::chrono::steady_clock::now();
     propagationsAtSolveStart_ = stats_.propagations;
-    if (hasDeadline_)
-        deadline_ = solveStart_ + std::chrono::milliseconds(opts_.timeBudgetMs);
 
     // Budgets are per-solve: convert relative budgets into absolute caps
     // against the cumulative counters.
@@ -954,6 +955,10 @@ SolveResult Solver::solve(std::span<const Lit> assumptions, const ModelHook& onM
         opts_.memoryBudgetMb < 0 ? -1 : opts_.memoryBudgetMb * 1024 * 1024;
     if (opts_.cancelFlag && opts_.cancelFlag->load(std::memory_order_relaxed)) {
         stopReason_ = StopReason::Cancelled;
+        return SolveResult::Unknown;
+    }
+    if (deadlineExpired()) { // a shared deadline spent by earlier calls
+        stopReason_ = StopReason::Deadline;
         return SolveResult::Unknown;
     }
 
@@ -993,7 +998,7 @@ SolveResult Solver::solve(std::span<const Lit> assumptions, const ModelHook& onM
 }
 
 bool Solver::deadlineExpired() const {
-    return hasDeadline_ && std::chrono::steady_clock::now() >= deadline_;
+    return deadline_.has_value() && std::chrono::steady_clock::now() >= *deadline_;
 }
 
 StopReason Solver::limitExceeded() const {
@@ -1246,10 +1251,9 @@ bool Solver::simplify() {
     if (!ok_) return false;
     // This entry runs outside any solve(): clear leftover per-solve limits so
     // the round is bounded only by its tick budget, the configured memory
-    // budget, and the cancellation flag.
+    // budget, the setDeadline() deadline and the cancellation flag.
     conflictLimit_ = -1;
     propagationLimit_ = -1;
-    hasDeadline_ = false;
     pendingStop_ = StopReason::None;
     stopReason_ = StopReason::None;
     memoryBudgetBytes_ =
@@ -1259,6 +1263,187 @@ bool Solver::simplify() {
     const SimplifyOutcome outcome = runSimplifyRound();
     backtrackTo(0);
     return outcome != SimplifyOutcome::Unsat && ok_;
+}
+
+bool Solver::prepare() {
+    expects(stats_.solves == 0 && !simplifiedOnce_,
+            "prepare: call once, before the first solve()");
+    // No search has run, so every phase is still the seed's: mark them so,
+    // and the image can tell the phases the round saves from the rest.
+    std::fill(polarity_.begin(), polarity_.end(), kSeedPhase);
+    if (opts_.simplify.enable && !simplify()) return false;
+    if (!ok_ || stopReason_ != StopReason::None ||
+        stats_.lastSimplifyStop == SimplifyStop::Memory)
+        return false;
+    // Level-0 reasons are never read again; a clone starts without them.
+    for (const Lit l : trail_) varData_[static_cast<std::size_t>(l.var())] = {};
+    attachCanonical(flatBinaries());
+    prepared_ = true;
+    return true;
+}
+
+std::vector<Solver::FlatBinary> Solver::flatBinaries() const {
+    // Entry {other} in list j belongs to the clause (¬Lit(j) ∨ other) and
+    // is mirrored once in each direction; emit the ordered one of the pair.
+    std::vector<FlatBinary> out;
+    out.reserve(stats_.binaryClauses);
+    for (std::size_t j = 0; j < binWatches_.size(); ++j) {
+        const Lit a = ~Lit::fromIndex(static_cast<std::int32_t>(j));
+        for (const BinWatcher& bw : binWatches_[j])
+            if (a.index() < bw.other.index()) out.push_back({a, bw.other, bw.learnt});
+    }
+    return out;
+}
+
+void Solver::attachCanonical(std::span<const FlatBinary> binaries) {
+    // The order a prepared solver and each of its clones search from: every
+    // long clause watched by its first two literals in clause-list order,
+    // every binary attached in the given order. flatBinaries() of the
+    // result is `binaries` again, so image() can re-read it.
+    std::vector<std::uint32_t> watched(watches_.size(), 0);
+    std::vector<std::uint32_t> implied(binWatches_.size(), 0);
+    for (const std::vector<ClauseRef>* list : {&clauses_, &learnts_}) {
+        for (const ClauseRef ref : *list) {
+            ++watched[static_cast<std::size_t>((~arena_.lit(ref, 0)).index())];
+            ++watched[static_cast<std::size_t>((~arena_.lit(ref, 1)).index())];
+        }
+    }
+    for (const FlatBinary& bin : binaries) {
+        ++implied[static_cast<std::size_t>((~bin.a).index())];
+        ++implied[static_cast<std::size_t>((~bin.b).index())];
+    }
+    for (std::size_t j = 0; j < watches_.size(); ++j) {
+        watches_[j].clear();
+        watches_[j].reserve(watched[j]);
+        binWatches_[j].clear();
+        binWatches_[j].reserve(implied[j]);
+    }
+    for (const ClauseRef ref : clauses_) attachClause(ref);
+    for (const ClauseRef ref : learnts_) attachClause(ref);
+    for (const FlatBinary& bin : binaries) {
+        binWatches_[static_cast<std::size_t>((~bin.a).index())].push_back({bin.b, bin.learnt});
+        binWatches_[static_cast<std::size_t>((~bin.b).index())].push_back({bin.a, bin.learnt});
+    }
+}
+
+namespace {
+
+void putVarint(std::vector<std::uint8_t>& out, std::uint64_t value) {
+    while (value >= 0x80) {
+        out.push_back(static_cast<std::uint8_t>(value | 0x80));
+        value >>= 7;
+    }
+    out.push_back(static_cast<std::uint8_t>(value));
+}
+
+std::uint64_t getVarint(const std::uint8_t*& in) {
+    std::uint64_t value = 0;
+    for (int shift = 0;; shift += 7) {
+        const std::uint8_t byte = *in++;
+        value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+        if (byte < 0x80) return value;
+    }
+}
+
+} // namespace
+
+SolverImage Solver::image() const {
+    expects(prepared_ && learnts_.empty(),
+            "image: only directly after a successful prepare()");
+    const std::size_t n = assigns_.size();
+    // Untouched before the first search: zero activities, identity heap.
+    bool identityHeap = heap_.size() == n;
+    for (std::size_t i = 0; identityHeap && i < n; ++i)
+        identityHeap = heap_[i] == static_cast<Var>(i);
+    expects(identityHeap, "image: branching heap moved before the first search");
+    SolverImage image;
+    image.numVars = numVars();
+    for (const ClauseRef ref : clauses_) {
+        const std::uint32_t size = arena_.size(ref);
+        putVarint(image.clauses, size);
+        for (std::uint32_t k = 0; k < size; ++k)
+            putVarint(image.clauses, static_cast<std::uint32_t>(arena_.lit(ref, k).index()));
+        image.arenaWords += ClauseArena::kHeaderWords + size;
+    }
+    std::int32_t previous = 0;
+    for (const FlatBinary& bin : flatBinaries()) {
+        const std::int32_t list = (~bin.a).index();
+        putVarint(image.binaries, static_cast<std::uint32_t>(list - previous));
+        putVarint(image.binaries, static_cast<std::uint64_t>(bin.b.index()) << 1 | bin.learnt);
+        previous = list;
+    }
+    image.clauses.shrink_to_fit();
+    image.binaries.shrink_to_fit();
+    image.units = trail_;
+    image.qhead = qhead_;
+    image.trailAtLastSweep = trailAtLastSweep_;
+    image.polarity = polarity_;
+    image.frozen = frozen_;
+    image.eliminated = eliminated_;
+    image.extender = extender_;
+    image.elimStash = elimStash_;
+    return image;
+}
+
+std::size_t SolverImage::bytes() const {
+    return clauses.size() + binaries.size() + units.size() * sizeof(Lit) +
+           polarity.size() + frozen.size() + eliminated.size() +
+           extender.bytes() + elimStash.bytes();
+}
+
+Solver::Solver(const SolverImage& image, const SolverOptions& options)
+    : opts_(options),
+      trail_(image.units),
+      qhead_(image.qhead),
+      trailAtLastSweep_(image.trailAtLastSweep),
+      frozen_(image.frozen),
+      eliminated_(image.eliminated),
+      extender_(image.extender),
+      elimStash_(image.elimStash),
+      simplifiedOnce_(true),
+      prepared_(true) {
+    const auto n = static_cast<std::size_t>(image.numVars);
+    assigns_.assign(n, lbool::Undef);
+    for (const Lit l : trail_)
+        assigns_[static_cast<std::size_t>(l.var())] = fromBool(!l.sign());
+    varData_.assign(n, {});
+    polarity_ = image.polarity;
+    activity_.assign(n, 0.0);
+    heap_.resize(n);
+    heapIndex_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        heap_[i] = static_cast<Var>(i);
+        heapIndex_[i] = static_cast<int>(i);
+    }
+    seen_.assign(n, 0);
+    for (const char e : eliminated_) numEliminated_ += e != 0 ? 1 : 0;
+
+    const std::uint8_t* in = image.clauses.data();
+    const std::uint8_t* end = in + image.clauses.size();
+    std::vector<Lit>& lits = simplifyScratch_;
+    arena_.reserveWords(image.arenaWords);
+    while (in < end) {
+        lits.resize(getVarint(in));
+        for (Lit& l : lits) l = Lit::fromIndex(static_cast<std::int32_t>(getVarint(in)));
+        clauses_.push_back(arena_.alloc(lits, /*learnt=*/false, /*lbd=*/0));
+    }
+    std::vector<FlatBinary> binaries;
+    in = image.binaries.data();
+    end = in + image.binaries.size();
+    std::int32_t list = 0;
+    while (in < end) {
+        list += static_cast<std::int32_t>(getVarint(in));
+        const std::uint64_t code = getVarint(in);
+        binaries.push_back({~Lit::fromIndex(list),
+                            Lit::fromIndex(static_cast<std::int32_t>(code >> 1)),
+                            static_cast<std::uint32_t>(code & 1)});
+        learntBytes_ += (code & 1) * kBinaryBytes;
+        binaryProblem_ += 1 - (code & 1);
+    }
+    stats_.binaryClauses = binaries.size();
+    watches_.resize(2 * n);
+    binWatches_.resize(2 * n);
+    attachCanonical(binaries);
 }
 
 void Solver::restoreForLits(std::span<const Lit> lits) {
@@ -1276,6 +1461,7 @@ void Solver::restoreEliminated(Var v) {
     // mention (their reconstruction entries would otherwise disagree with the
     // re-added clauses). The previously added resolvents stay — they are
     // implied by the originals, so the formula remains equivalent.
+    prepared_ = false;
     std::vector<Var> work{v};
     std::vector<std::vector<Lit>> toAdd;
     while (!work.empty()) {
@@ -1289,15 +1475,12 @@ void Solver::restoreEliminated(Var v) {
         if (heapIndex_[static_cast<std::size_t>(x)] < 0 &&
             value(x) == lbool::Undef)
             heapInsert(x);
-        const auto it = elimStash_.find(x);
-        if (it == elimStash_.end()) continue;
-        for (std::vector<Lit>& clause : it->second) {
-            for (const Lit l : clause)
+        const std::size_t first = toAdd.size();
+        elimStash_.take(x, toAdd);
+        for (std::size_t i = first; i < toAdd.size(); ++i)
+            for (const Lit l : toAdd[i])
                 if (eliminated_[static_cast<std::size_t>(l.var())] != 0)
                     work.push_back(l.var());
-            toAdd.push_back(std::move(clause));
-        }
-        elimStash_.erase(it);
     }
     // Integrate through the internal path: restoration is not a formula
     // change, so the snapshot baseline counter must not move.

@@ -20,7 +20,11 @@
 //     tightens its last assumption on every model (linear optimization in
 //     one search), and
 //   * an inprocessing pipeline (src/sat/simplify/) run at solve() start and
-//     at restart boundaries.
+//     at restart boundaries, and
+//   * prepared images: prepare() runs the first inprocessing round ahead of
+//     any search; image() copies the result into a flat SolverImage from
+//     which Solver(image, options) clones a solver in exactly that state,
+//     without replaying the encoding or the round.
 #pragma once
 
 #include <atomic>
@@ -30,7 +34,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sat/arena.hpp"
@@ -129,12 +132,48 @@ struct ImportedClause {
 struct SolverSnapshot {
     int numVars = 0;                     ///< variable count at the baseline
     std::vector<ImportedClause> clauses; ///< short learnt clauses + level-0 units
-    std::vector<char> polarity;          ///< saved phases, one per baseline var
+    /// Saved phases, one per baseline var (Solver::kSeedPhase: the
+    /// importer's own seed decides).
+    std::vector<char> polarity;
     std::vector<double> activity;        ///< activities normalized to max 1.0
 
     /// An empty snapshot means "nothing to warm-start from" (export refused
     /// or the solver had learnt nothing exportable).
     [[nodiscard]] bool empty() const { return numVars == 0; }
+};
+
+/// Immutable, compact image of a prepared solver (Solver::prepare): the CNF
+/// after its first inprocessing round plus the search state that round
+/// left behind — clause and literal order, saved phases, the level-0 trail
+/// — so a clone (Solver(image, options)) searches exactly like the solver
+/// the image was taken from. Both rebuild their watch and binary lists the
+/// same canonical way from the flat clause and binary lists. Clauses and
+/// binaries are varint byte streams that never mention arena offsets.
+/// There are no learnt long clauses, activities or heap order to keep:
+/// prepare() runs before any search, where those still have their initial
+/// values.
+struct SolverImage {
+    int numVars = 0;
+    /// Long clauses in clause-list order: length, then literal codes.
+    std::vector<std::uint8_t> clauses;
+    std::size_t arenaWords = 0; ///< arena words those clauses occupy
+    /// Binary clauses (a ∨ b), a.index() < b.index(), by ascending ¬a: per
+    /// clause (¬a).index() as a delta from the previous one, then
+    /// b.index() << 1 | learnt.
+    std::vector<std::uint8_t> binaries;
+    std::vector<Lit> units;   ///< the level-0 trail
+    std::size_t qhead = 0;    ///< propagation queue head on it
+    std::size_t trailAtLastSweep = 0;
+    /// Saved phases: 0/1 where the round left one, Solver::kSeedPhase where
+    /// the clone's own seed decides (as newVar() would).
+    std::vector<char> polarity;
+    std::vector<char> frozen;
+    std::vector<char> eliminated;
+    Extender extender;     ///< model reconstruction for eliminated vars
+    VarClauses elimStash;  ///< eliminated vars' original clauses
+
+    /// Exact heap bytes held (every buffer is allocated to size).
+    [[nodiscard]] std::size_t bytes() const;
 };
 
 /// Snapshot handed to SolverOptions::progressFn every `progressEvery`
@@ -167,10 +206,6 @@ struct SolverOptions {
     /// and an arena compaction; if still over (everything left is glue or
     /// locked), it stops with Unknown.
     std::int64_t memoryBudgetMb = -1;
-    /// Wall-clock budget per solve() call in milliseconds; -1 = unlimited.
-    /// Checked at conflicts and periodically at decisions, so exhaustion
-    /// returns Unknown within a few propagation batches of the deadline.
-    std::int64_t timeBudgetMs = -1;
     /// Cooperative cancellation: when non-null, the solver polls this flag on
     /// the same cadence as the deadline (every conflict, every 256 decisions,
     /// and periodically inside long propagation streaks) and returns Unknown
@@ -227,6 +262,16 @@ class Solver {
 public:
     Solver() = default;
     explicit Solver(const SolverOptions& options) : opts_(options) {}
+    /// Clones the prepared solver `image` was taken from (see SolverImage),
+    /// under `options`: phases the round did not save follow
+    /// options.randomSeed exactly as newVar() would set them, and the
+    /// statistics start at zero apart from the live-binary gauge, so they
+    /// count only this solver's work.
+    Solver(const SolverImage& image, const SolverOptions& options);
+
+    /// Saved-phase value meaning "the initial phase newVar() gives under
+    /// SolverOptions::randomSeed", resolved when the variable is branched on.
+    static constexpr char kSeedPhase = 2;
 
     Solver(const Solver&) = delete;
     Solver& operator=(const Solver&) = delete;
@@ -292,6 +337,16 @@ public:
     [[nodiscard]] StopReason stopReason() const { return stopReason_; }
 
     [[nodiscard]] const SolverOptions& options() const { return opts_; }
+
+    /// Fixes an absolute wall-clock deadline that every later solve(),
+    /// simplify() and prepare() honours; nullopt (the default) clears it.
+    /// Checked at conflicts and periodically at decisions, so expiry
+    /// returns Unknown within a few propagation batches of it. Work spread
+    /// over several calls (an optimize or enumerate query) thus shares one
+    /// deadline instead of a fresh budget per call.
+    void setDeadline(std::optional<std::chrono::steady_clock::time_point> deadline) {
+        deadline_ = deadline;
+    }
 
     /// Replaces the solver options wholesale. Throws LogicError when a
     /// solve() is in flight on this instance — the threading contract
@@ -361,7 +416,26 @@ public:
     /// Runs one inprocessing round immediately (outside any solve()). Returns
     /// false when the formula became trivially unsatisfiable. Exposed for
     /// tests and offline preprocessing; solve() schedules rounds itself.
+    /// Bounded by the tick and memory budgets, the setDeadline() deadline
+    /// and the cancel flag (stopReason() names a deadline/cancel stop).
     bool simplify();
+
+    /// Reaches the prepared state: runs the first inprocessing round (when
+    /// enabled) ahead of the first solve(), which then searches at once,
+    /// and rebuilds the watch and binary lists in the canonical order a
+    /// clone rebuilds them in (clause-list order; binaries as
+    /// flatBinaries() lists them). Solver(image(), options) reproduces the state
+    /// exactly. Call once,
+    /// after encoding and before importSnapshot() or solve(). Returns false
+    /// when the deadline, the cancel flag or the memory budget cut the
+    /// round short, or the formula is Unsat at level 0: the state then
+    /// depends on this query's limits, so keep no image of it.
+    bool prepare();
+
+    /// Flat copy of the prepared state. Only valid directly after a
+    /// prepare() that returned true, before anything else changes the
+    /// solver.
+    [[nodiscard]] SolverImage image() const;
 
 private:
     friend class Simplifier;
@@ -375,6 +449,12 @@ private:
     /// list: when ~x lands on the trail, `other` is implied outright.
     struct BinWatcher {
         Lit other = kUndefLit;
+        std::uint32_t learnt = 0;
+    };
+    /// One binary clause (a ∨ b) outside the implication lists.
+    struct FlatBinary {
+        Lit a = kUndefLit;
+        Lit b = kUndefLit;
         std::uint32_t learnt = 0;
     };
     struct VarData {
@@ -408,6 +488,8 @@ private:
     void newDecisionLevel();
 
     // -- state helpers -----------------------------------------------------
+    /// Initial phase newVar() gives `v` under `seed` (1 = false first).
+    static char initialPhase(std::uint64_t seed, Var v);
     [[nodiscard]] int decisionLevel() const {
         return static_cast<int>(trailLim_.size());
     }
@@ -423,6 +505,12 @@ private:
     void attachClause(ClauseRef ref);
     void detachClause(ClauseRef ref);
     void attachBinary(Lit a, Lit b, bool learnt);
+    /// Every binary clause (a ∨ b) once, a.index() < b.index(), by
+    /// ascending ¬a (the order of the implication lists).
+    [[nodiscard]] std::vector<FlatBinary> flatBinaries() const;
+    /// Rebuilds the watch lists from the clause lists and the binary lists
+    /// from `binaries` (see prepare()); leaves the counters alone.
+    void attachCanonical(std::span<const FlatBinary> binaries);
     /// Integrates a simplified (>= 2 literals, none assigned-at-0) clause:
     /// binary → implication graph, longer → arena + watches. Shared by
     /// addClause / clause import / snapshot import.
@@ -511,7 +599,8 @@ private:
 
     std::vector<lbool> assigns_;
     std::vector<VarData> varData_;
-    std::vector<char> polarity_; ///< saved phase (1 = last assigned false)
+    /// Saved phase (1 = last assigned false; kSeedPhase = the seed's).
+    std::vector<char> polarity_;
     std::vector<double> activity_;
     double varInc_ = 1.0;
     double claInc_ = 1.0;
@@ -543,8 +632,6 @@ private:
     std::int64_t conflictsSinceRestart_ = 0;
     std::int64_t restartLimit_ = 0;
     int restartCount_ = 0;
-    std::chrono::steady_clock::time_point deadline_{};
-    bool hasDeadline_ = false;
     std::chrono::steady_clock::time_point solveStart_{};
     std::uint64_t propagationsAtSolveStart_ = 0;
     std::vector<ImportedClause> importScratch_; ///< importSharedClauses buffer
@@ -557,9 +644,13 @@ private:
     Extender extender_; ///< model-reconstruction stack for eliminated vars
     /// Original problem clauses of each eliminated var, for restoration when
     /// a later addClause()/assumption mentions it.
-    std::unordered_map<Var, std::vector<std::vector<Lit>>> elimStash_;
+    VarClauses elimStash_;
     std::uint64_t conflictsAtLastSimplify_ = 0;
     bool simplifiedOnce_ = false;
+    /// True from a successful prepare() until anything changes the
+    /// prepared state (a clause, a solve, an import) — guards image().
+    bool prepared_ = false;
+    std::optional<std::chrono::steady_clock::time_point> deadline_; ///< setDeadline()
     std::atomic<bool> solveActive_{false}; ///< guards the single-thread contract
 
     // Snapshot baseline: addClause() invocations are counted (not stored

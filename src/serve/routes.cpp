@@ -171,6 +171,9 @@ std::string renderStatusz(const reason::Service& service,
             std::to_string(sat.arenaGcs) + "  arena_waste_bytes=" +
             std::to_string(static_cast<std::int64_t>(sat.arenaWasteBytes)) +
             "\n";
+    const reason::PreparedTotals prepared = service.preparedTotals();
+    page += "  prepared_images=" + std::to_string(prepared.images) +
+            "  prepared_bytes=" + std::to_string(prepared.bytes) + "\n";
 
     // Chaos visibility: any fault-injection site touched this process. A
     // healthy production instance prints nothing here.
@@ -261,7 +264,8 @@ void registerServiceRoutes(net::HttpServer& server, reason::Service& service,
         return apiResponse(200, std::move(report));
     });
 
-    server.route("GET", "/metrics", [](const net::HttpRequest&) {
+    server.route("GET", "/metrics", [&service](const net::HttpRequest&) {
+        (void)service.preparedTotals(); // refreshes the lar_prepared_* gauges
         net::HttpResponse resp;
         resp.contentType = "text/plain; version=0.0.4";
         resp.body = obs::Registry::global().renderPrometheus();

@@ -20,8 +20,13 @@ bool haveZ3() {
 }
 
 std::unique_ptr<Backend> makeBackend(BackendKind kind, const FormulaStore& store,
-                                     const BackendConfig& config) {
+                                     const BackendConfig& config, const CdclImage* image) {
     util::FaultInjector::global().maybeFault("backend.construct");
+    if (image != nullptr) {
+        expects(kind == BackendKind::Cdcl && config.portfolioWorkers <= 1,
+                "makeBackend: images clone single-worker CDCL backends only");
+        return std::make_unique<CdclBackend>(store, config, *image);
+    }
     switch (kind) {
         case BackendKind::Cdcl:
             if (config.portfolioWorkers > 1)

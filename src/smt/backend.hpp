@@ -119,6 +119,12 @@ public:
         return sat::StopReason::None;
     }
 
+    /// Starts the BackendConfig::timeoutMs budget afresh from now. Backends
+    /// start it at construction and every later check/optimize gets only
+    /// the time left, so a query's calls share one deadline; a long-lived
+    /// what-if session restarts it per ask.
+    virtual void restartDeadline() = 0;
+
     // -- warm-start snapshots (CDCL single-worker backend only) --------------
     // Defaults make snapshots a no-op: Z3 has no exportable learnt state and
     // the portfolio backend's workers diverge from the replay baseline, so
@@ -153,9 +159,10 @@ struct BackendConfig {
     /// Nonzero: seed for randomized search aspects (initial phases for the
     /// CDCL backend, random_seed for Z3). 0 keeps the deterministic default.
     std::uint64_t seed = 0;
-    /// Wall-clock budget per check/optimize call in milliseconds; 0 = none.
-    /// On exhaustion checks return CheckStatus::Unknown and optimize()
-    /// reports infeasible=false.
+    /// Wall-clock budget in milliseconds from backend construction (or the
+    /// last restartDeadline()), shared by every check/optimize call; 0 =
+    /// none. On exhaustion checks return CheckStatus::Unknown and optimize()
+    /// reports unknown.
     int timeoutMs = 0;
     /// Conflict budget per solver call; -1 = unlimited. CDCL maps this to
     /// SolverOptions::conflictBudget; Z3 to max_conflicts where the linked
@@ -192,10 +199,14 @@ struct BackendConfig {
 /// True when the library was built with Z3 support.
 [[nodiscard]] bool haveZ3();
 
-/// Creates a backend over `store`. Throws LogicError for BackendKind::Z3
-/// when the library was built without Z3.
+struct CdclImage;
+
+/// Creates a backend over `store`; with `image`, a clone of the prepared
+/// single-worker CDCL backend it was taken from (see CdclImage). Throws
+/// LogicError for BackendKind::Z3 when the library was built without Z3.
 [[nodiscard]] std::unique_ptr<Backend> makeBackend(BackendKind kind,
                                                    const FormulaStore& store,
-                                                   const BackendConfig& config = {});
+                                                   const BackendConfig& config = {},
+                                                   const CdclImage* image = nullptr);
 
 } // namespace lar::smt

@@ -1,6 +1,7 @@
 #include "smt/cdcl_backend.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 
 #include "encode/pb.hpp"
@@ -10,8 +11,62 @@
 
 namespace lar::smt {
 
+namespace {
+
+sat::SolverOptions solverOptionsFor(const BackendConfig& config) {
+    sat::SolverOptions opts;
+    opts.randomSeed = config.seed;
+    opts.conflictBudget = config.conflictBudget;
+    opts.propagationBudget = config.propagationBudget;
+    opts.memoryBudgetMb = config.memoryBudgetMb;
+    opts.cancelFlag = config.cancelFlag;
+    opts.progressEvery = config.progressEveryConflicts;
+    opts.progressFn = config.progressFn;
+    opts.simplify.enable = config.simplify;
+    return opts;
+}
+
+} // namespace
+
+CdclBackend::CdclBackend(const FormulaStore& store, const BackendConfig& config)
+    : store_(&store), timeoutMs_(config.timeoutMs), solver_(solverOptionsFor(config)) {
+    restartDeadline();
+}
+
+CdclBackend::CdclBackend(const FormulaStore& store, const BackendConfig& config,
+                         const CdclImage& image)
+    : store_(&store),
+      timeoutMs_(config.timeoutMs),
+      solver_(image.solver, solverOptionsFor(config)),
+      builder_(solver_, image.trueLit),
+      lits_(image.lits),
+      linleq_(image.linleq.begin(), image.linleq.end()),
+      selectors_(image.selectors) {
+    restartDeadline();
+}
+
+void CdclBackend::restartDeadline() {
+    // The query's timeout is one deadline over all of its solver calls (and
+    // the prepare round), not a fresh budget per call.
+    if (timeoutMs_ > 0)
+        solver_.setDeadline(std::chrono::steady_clock::now() +
+                            std::chrono::milliseconds(timeoutMs_));
+}
+
+std::unique_ptr<const CdclImage> CdclBackend::image() const {
+    auto image = std::make_unique<CdclImage>();
+    image->solver = solver_.image();
+    std::size_t used = lits_.size();
+    while (used > 0 && !lits_[used - 1].isDefined()) --used;
+    image->lits.assign(lits_.begin(), lits_.begin() + static_cast<std::ptrdiff_t>(used));
+    image->linleq.assign(linleq_.begin(), linleq_.end());
+    image->selectors = selectors_;
+    image->trueLit = builder_.existingTrueLit();
+    return image;
+}
+
 sat::Lit CdclBackend::compile(NodeId id) {
-    if (const auto it = cache_.find(id); it != cache_.end()) return it->second;
+    if (const sat::Lit known = compiled(id); known.isDefined()) return known;
     const Node& n = store_->node(id);
     sat::Lit out = sat::kUndefLit;
     switch (n.kind) {
@@ -39,7 +94,10 @@ sat::Lit CdclBackend::compile(NodeId id) {
             out = compileLinLeq(id);
             break;
     }
-    cache_.emplace(id, out);
+    if (static_cast<std::size_t>(id) >= lits_.size())
+        lits_.resize(std::max(store_->size(), static_cast<std::size_t>(id) + 1),
+                     sat::kUndefLit);
+    lits_[static_cast<std::size_t>(id)] = out;
     return out;
 }
 
@@ -51,17 +109,18 @@ sat::Lit CdclBackend::compileLinLeq(NodeId id) {
     if (n.bound >= total) return builder_.trueLit();
     if (n.bound < 0) return builder_.falseLit();
 
-    LinLeqGate& gate = linleqGates_[id];
+    LinLeqGate& gate = linleq_[id];
     gate.out = builder_.newLit();
     emitLinLeqDirections(id);
     return gate.out;
 }
 
 void CdclBackend::emitLinLeqDirections(NodeId id) {
-    auto gateIt = linleqGates_.find(id);
-    if (gateIt == linleqGates_.end()) return; // folded to a constant
+    const auto gateIt = linleq_.find(id);
+    if (gateIt == linleq_.end() || !gateIt->second.out.isDefined())
+        return; // not compiled yet, or folded to a constant
     LinLeqGate& gate = gateIt->second;
-    const int mask = polarity_.count(id) ? polarity_[id] : (kPos | kNeg);
+    const int mask = gate.polarity != 0 ? gate.polarity : (kPos | kNeg);
     const bool needForward = (mask & kPos) != 0 && !gate.forwardBuilt;
     const bool needBackward = (mask & kNeg) != 0 && !gate.backwardBuilt;
     if (!needForward && !needBackward) return;
@@ -123,12 +182,11 @@ void CdclBackend::notePolarity(NodeId id, int mask) {
             for (const NodeId c : n.children) notePolarity(c, mask);
             return;
         case NodeKind::LinLeq: {
-            const int before = polarity_.count(id) ? polarity_[id] : 0;
-            const int after = before | mask;
-            if (after == before) return;
-            polarity_[id] = after;
+            LinLeqGate& gate = linleq_[id];
+            if ((gate.polarity | mask) == gate.polarity) return;
+            gate.polarity |= mask;
             // Upgrade an already-compiled gate with the new direction.
-            if (cache_.count(id)) emitLinLeqDirections(id);
+            emitLinLeqDirections(id);
             return;
         }
     }
@@ -224,9 +282,9 @@ CheckStatus CdclBackend::checkWithTracks(std::span<const int> activeTracks,
 bool CdclBackend::modelValue(NodeId var) const {
     expects(store_->node(var).kind == NodeKind::Var,
             "CdclBackend::modelValue: not a variable");
-    const auto it = cache_.find(var);
-    if (it == cache_.end()) return false; // variable absent from the formula
-    return solver_.modelValue(it->second);
+    const sat::Lit lit = compiled(var);
+    if (!lit.isDefined()) return false; // variable absent from the formula
+    return solver_.modelValue(lit);
 }
 
 OptimizeResult CdclBackend::optimize(std::span<const ObjectiveSpec> objectives,

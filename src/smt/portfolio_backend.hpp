@@ -68,6 +68,9 @@ public:
         return workers_[static_cast<std::size_t>(statsWorker_)]->lastStopReason();
     }
     [[nodiscard]] std::string name() const override { return "cdcl-portfolio"; }
+    void restartDeadline() override {
+        for (auto& worker : workers_) worker->restartDeadline();
+    }
 
     /// Diversity-profile name applied to worker `i` ("base" for worker 0,
     /// which runs the stock configuration).

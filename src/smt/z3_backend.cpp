@@ -11,13 +11,10 @@ namespace lar::smt {
 
 Z3Backend::Z3Backend(const FormulaStore& store, const BackendConfig& config)
     : store_(&store), config_(config), solver_(ctx_) {
-    if (config_.timeoutMs > 0 || config_.seed != 0) {
+    restartDeadline();
+    if (config_.seed != 0) {
         z3::params params(ctx_);
-        if (config_.timeoutMs > 0)
-            params.set("timeout", static_cast<unsigned>(config_.timeoutMs));
-        if (config_.seed != 0)
-            params.set("random_seed",
-                       static_cast<unsigned>(config_.seed & 0xFFFFFFFFu));
+        params.set("random_seed", static_cast<unsigned>(config_.seed & 0xFFFFFFFFu));
         solver_.set(params);
     }
     // Resource budgets are applied one param at a time so an unsupported
@@ -43,6 +40,27 @@ Z3Backend::Z3Backend(const FormulaStore& store, const BackendConfig& config)
         } catch (const z3::exception&) {
         }
     }
+}
+
+void Z3Backend::restartDeadline() {
+    if (config_.timeoutMs > 0)
+        deadline_ = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(config_.timeoutMs);
+}
+
+unsigned Z3Backend::timeoutLeftMs() const {
+    if (!deadline_.has_value()) return 0;
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          *deadline_ - std::chrono::steady_clock::now())
+                          .count();
+    return static_cast<unsigned>(std::max<std::int64_t>(1, left));
+}
+
+void Z3Backend::armTimeout() {
+    if (!deadline_.has_value()) return;
+    z3::params params(ctx_);
+    params.set("timeout", timeoutLeftMs());
+    solver_.set(params);
 }
 
 void Z3Backend::collectStats(const z3::stats& st) {
@@ -154,7 +172,8 @@ void Z3Backend::captureCore(const z3::expr_vector& core,
 CheckStatus Z3Backend::checkWithTracks(std::span<const int> activeTracks,
                                        std::span<const NodeId> assumptions) {
     const obs::Span span("check");
-    if (cancelled()) return CheckStatus::Unknown;
+    if (cancelled() || deadlinePassed()) return CheckStatus::Unknown;
+    armTimeout();
     z3::expr_vector assume(ctx_);
     for (const auto& [track, selector] : selectors_) {
         if (std::find(activeTracks.begin(), activeTracks.end(), track) !=
@@ -178,7 +197,8 @@ CheckStatus Z3Backend::checkWithTracks(std::span<const int> activeTracks,
 
 CheckStatus Z3Backend::check(std::span<const NodeId> assumptions) {
     const obs::Span span("check");
-    if (cancelled()) return CheckStatus::Unknown;
+    if (cancelled() || deadlinePassed()) return CheckStatus::Unknown;
+    armTimeout();
     z3::expr_vector assume(ctx_);
     for (const auto& [track, selector] : selectors_) assume.push_back(selector);
     for (const NodeId a : assumptions) assume.push_back(toExpr(a));
@@ -209,7 +229,7 @@ bool Z3Backend::modelValue(NodeId var) const {
 OptimizeResult Z3Backend::optimize(std::span<const ObjectiveSpec> objectives,
                                    std::span<const NodeId> assumptions) {
     const obs::Span span("optimize");
-    if (cancelled()) {
+    if (cancelled() || deadlinePassed()) {
         OptimizeResult result;
         result.unknown = true;
         return result;
@@ -217,8 +237,7 @@ OptimizeResult Z3Backend::optimize(std::span<const ObjectiveSpec> objectives,
     z3::optimize opt(ctx_);
     z3::params params(ctx_);
     params.set("priority", ctx_.str_symbol("lex"));
-    if (config_.timeoutMs > 0)
-        params.set("timeout", static_cast<unsigned>(config_.timeoutMs));
+    if (deadline_.has_value()) params.set("timeout", timeoutLeftMs());
     opt.set(params);
 
     for (const auto& [formula, track] : hardForOptimize_) opt.add(toExpr(formula));

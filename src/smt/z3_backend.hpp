@@ -6,7 +6,9 @@
 
 #if defined(LAR_HAVE_Z3)
 
+#include <chrono>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 
 #include <z3++.h>
@@ -27,6 +29,7 @@ public:
                             std::span<const NodeId> assumptions = {}) override;
     [[nodiscard]] std::string name() const override { return "z3"; }
     [[nodiscard]] sat::SolverStats stats() const override { return collected_; }
+    void restartDeadline() override;
 
 private:
     /// Coarse cancellation: checked at check/optimize entry only (Z3 offers
@@ -35,6 +38,16 @@ private:
         return config_.cancelFlag != nullptr &&
                config_.cancelFlag->load(std::memory_order_relaxed);
     }
+
+    /// Milliseconds left before the deadline, for Z3's "timeout" param
+    /// (0 = no deadline; at least 1 while one is set — a spent deadline is
+    /// caught by deadlinePassed() before Z3 runs).
+    [[nodiscard]] unsigned timeoutLeftMs() const;
+    [[nodiscard]] bool deadlinePassed() const {
+        return deadline_.has_value() && std::chrono::steady_clock::now() >= *deadline_;
+    }
+    /// Sets the solver's "timeout" param to the time left.
+    void armTimeout();
 
     z3::expr toExpr(NodeId id);
     z3::expr varExpr(NodeId id);
@@ -54,6 +67,7 @@ private:
     std::vector<std::pair<NodeId, int>> hardForOptimize_; ///< (formula, track)
     std::unique_ptr<z3::model> model_;
     CoreResult lastCore_;
+    std::optional<std::chrono::steady_clock::time_point> deadline_;
 };
 
 } // namespace lar::smt

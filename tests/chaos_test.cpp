@@ -294,6 +294,8 @@ TEST_F(ChaosTest, DebugFaultsEndpointAndStatuszShowArmedSites) {
               std::string::npos);
     EXPECT_NE(client.get("/statusz").body.find("solver inprocessing"),
               std::string::npos);
+    EXPECT_NE(client.get("/statusz").body.find("prepared_images="),
+              std::string::npos);
 
     util::FaultInjector::global().armProbability(net::kSiteRead, 0.05, 42);
     util::FaultInjector::global().armNthHit(net::kSiteConnect, 7);

@@ -380,5 +380,23 @@ TEST_F(ServiceTest, TimeoutReportsUnknownNotWrongAnswer) {
     }
 }
 
+TEST_F(ServiceTest, TimeoutIsOneDeadlineAcrossEverySolverCall) {
+    // Regression: timeout_ms used to become a fresh budget on every solver
+    // call, so this enumerate (one optimize, then one check per design)
+    // answered all 200 designs in ~190 ms under a 20 ms deadline. Now the
+    // calls share the deadline: the query stops where it runs out.
+    Service service;
+    Problem p = caseStudyProblem();
+    p.objectivePriority = {kb::kObjLatency};
+    QueryRequest r = request(QueryKind::Enumerate, p);
+    r.maxDesigns = 200;
+    r.options.timeoutMs = 20;
+    const QueryResult result = service.run(r);
+    EXPECT_LT(result.designs.size(), 200u);
+    EXPECT_TRUE(result.verdict == Verdict::TimedOut ||
+                result.trace.stopReason == sat::StopReason::Deadline)
+        << verdictName(result.verdict);
+}
+
 } // namespace
 } // namespace lar::reason

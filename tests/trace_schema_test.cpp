@@ -2,7 +2,8 @@
 // document honest. It serializes a trace with every optional block present
 // and fails when a top-level key has no row in the §9 table, or when the
 // section — or README.md — states a schema version other than
-// kQueryTraceSchemaVersion.
+// kQueryTraceSchemaVersion. It also runs queries down every way a backend
+// gets built and fails when §9 does not name a span they emit.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -10,7 +11,9 @@
 #include <set>
 #include <string>
 
+#include "catalog/catalog.hpp"
 #include "obs/span.hpp"
+#include "reason/engine.hpp"
 #include "reason/trace.hpp"
 #include "util/file.hpp"
 
@@ -79,6 +82,39 @@ TEST(TraceSchemaDoc, Section9HasARowForEveryTopLevelKey) {
     for (const auto& [key, value] : v.asObject().entries())
         EXPECT_TRUE(documented.count(key) == 1)
             << "DESIGN.md §9 has no row for \"" << key << "\"";
+}
+
+void collectSpanNames(const obs::SpanNode& node, std::set<std::string>& names) {
+    names.insert(node.name);
+    for (const auto& child : node.children) collectSpanNames(*child, names);
+}
+
+TEST(TraceSchemaDoc, Section9NamesEverySpanOfTheQueryPath) {
+    // A fingerprint's first two CDCL sessions prepare their solver, later
+    // ones clone its image, and inprocessing-off (like Z3 and portfolio)
+    // sessions replay the encoding.
+    const kb::KnowledgeBase kb = catalog::buildKnowledgeBase();
+    const auto compilation =
+        std::make_shared<const Compilation>(makeDefaultProblem(kb));
+    QueryOptions replay;
+    replay.simplify = false;
+    std::set<std::string> names;
+    for (const QueryOptions& options : {QueryOptions{}, QueryOptions{},
+                                        QueryOptions{}, replay}) {
+        obs::Trace trace;
+        {
+            const obs::ScopedTrace scoped(trace);
+            (void)Engine(compilation, options).run(QueryKind::Optimize);
+        }
+        ASSERT_NE(trace.root(), nullptr);
+        collectSpanNames(*trace.root(), names);
+    }
+    for (const char* expected : {"solve", "prepare", "clone", "encode", "optimize"})
+        EXPECT_EQ(names.count(expected), 1u) << "no span named " << expected;
+    const std::string section = section9();
+    for (const std::string& name : names)
+        EXPECT_NE(section.find("`" + name + "`"), std::string::npos)
+            << "DESIGN.md §9 does not name the span \"" << name << "\"";
 }
 
 TEST(TraceSchemaDoc, ReadmeNamesTheEmittedVersion) {

@@ -265,6 +265,7 @@ int cmdBatch(const std::string& kbPath, const std::string& batchPath,
 
     reason::Service service(serviceOptions);
     const std::vector<reason::QueryResult> results = service.runBatch(requests);
+    (void)service.preparedTotals(); // publishes the lar_prepared_* gauges
     const bool anyInfeasible = reason::anyFailedOrInfeasible(results);
     const json::Value report =
         reason::batchReportToJson(results, requests, service);
