@@ -8,16 +8,18 @@
 #   scripts/verify.sh solver     clause-arena + inprocessing path: solver,
 #                                simplify and MaxSAT/lex suites + the
 #                                portfolio/warm-start/inprocessing
-#                                verdict-agreement fuzz oracles and the
-#                                prepared-image clone oracle under
+#                                verdict-agreement fuzz oracles, the
+#                                prepared-image clone oracle and the
+#                                held-solver ask suite under
 #                                ASan/UBSan, then the
 #                                bench_propagation Solver props/sec floor
 #                                and the bench_solver_ablation gate
 #   scripts/verify.sh server     HTTP server: unit + TSan + live smoke +
 #                                capacity and oversubscription gates
-#   scripts/verify.sh session    sessions: unit + TSan + warm-start oracle +
-#                                concurrent prepared-image clones under TSan +
-#                                live session smoke + session speedup gate
+#   scripts/verify.sh session    sessions: unit + asks + TSan + warm-start
+#                                oracle + concurrent prepared-image clones
+#                                under TSan + live session smoke + session
+#                                speedup gate
 #   scripts/verify.sh obs        observability: flight-recorder unit + TSan +
 #                                live /v1/debug + /statusz smoke
 #   scripts/verify.sh chaos      resilience: fault-injection + chaos suites,
@@ -68,7 +70,9 @@ run_solver() {
     # and lexicographic suites: their improving solve() swaps the bound
     # assumption and backtracks mid-search, from a model hook. So does the
     # prepared-image oracle: a clone rebuilds arena, watch and binary lists
-    # from a flat image, and every hit must answer like the miss; then
+    # from a flat image, and every hit must answer like the miss. So do the
+    # what-if asks: each lowers a variation to assumptions on a solver held
+    # across asks, and every Sat design must validate. Then
     # bench_propagation (plain tree) must show sat::Solver propagating
     # exactly the planted schedule with no conflict at or above its
     # props/sec floor, and bench_solver_ablation --smoke must show
@@ -77,10 +81,10 @@ run_solver() {
     cmake -B "$root/build-asan" -S "$root" -DLAR_SANITIZE=address,undefined
     cmake --build "$root/build-asan" -j"$jobs" --target \
         sat_test opt_test portfolio_test warmstart_test simplify_test \
-        prepared_test bench_solver_ablation
+        prepared_test whatif_test bench_solver_ablation
     (cd "$root/build-asan" && ASAN_OPTIONS=detect_leaks=0 \
         ctest --output-on-failure -R \
-        '^(Lit\.|Solver\.|Dimacs\.|SolverSnapshot\.|Simplify\.|SimplifyOracle\.|MaxSat\.|Lex\.|Prepared(Image|Solver|Concurrency)\.)|SolverConfigTest|PortfolioVerdictAgreementTest|ClauseImportSoundnessTest|WarmStartOracle')
+        '^(Lit\.|Solver\.|Dimacs\.|SolverSnapshot\.|Simplify\.|SimplifyOracle\.|MaxSat\.|Lex\.|Prepared(Image|Solver|Concurrency)\.|WhatIfTest\.)|SolverConfigTest|PortfolioVerdictAgreementTest|ClauseImportSoundnessTest|WarmStartOracle')
 
     echo "-- bench: solver ablation smoke under ASan/UBSan --"
     (cd "$root/build-asan" && ASAN_OPTIONS=detect_leaks=0 \
@@ -137,18 +141,20 @@ run_server() {
 
 run_session() {
     # The stateful what-if path end to end: SessionManager lifecycle/race
-    # suite (plain and under ThreadSanitizer), the warm-start soundness
-    # oracle, eight threads cloning one compilation's prepared image under
-    # ThreadSanitizer, the session-vs-stateless gate (>=10x median speedup over the
-    # production routes, verdicts agree), and a live create/ask/close
-    # round-trip through larserved + larctl session mode.
+    # suite (plain and under ThreadSanitizer), the ask suite (held-solver
+    # answers against fresh engines, every Sat design validated), the
+    # warm-start soundness oracle, eight threads cloning one compilation's
+    # prepared image under ThreadSanitizer, the session-vs-stateless gate
+    # (>=10x median speedup over the production routes, verdicts agree),
+    # and a live create/ask/close round-trip through larserved + larctl
+    # session mode.
     echo "== session: lifecycle + TSan + warm-start oracle + gate + smoke =="
     cmake -B "$root/build" -S "$root"
     cmake --build "$root/build" -j"$jobs" --target \
-        session_test session_test_tsan warmstart_test prepared_test_tsan \
-        perf_gates_test larserved larctl
+        session_test session_test_tsan whatif_test warmstart_test \
+        prepared_test_tsan perf_gates_test larserved larctl
     (cd "$root/build" && ctest --output-on-failure -R \
-        '^SessionTest|^session_tsan$|^prepared_tsan$|^(SolverSnapshot|WarmStartOracle|WarmStartService)|^PerfGates\.SessionAsk')
+        '^SessionTest|^WhatIfTest\.|^session_tsan$|^prepared_tsan$|^(SolverSnapshot|WarmStartOracle|WarmStartService)|^PerfGates\.SessionAsk')
 
     echo "-- live smoke: larserved session workflow via larctl --"
     smoke="$root/build/session_smoke"

@@ -1,8 +1,8 @@
 // The one outcome type of every architect query.
 //
-// Engine::run answers feasibility / explain / synthesize / optimize /
-// enumerate with an Answer, and WhatIfSession::ask answers a variation with
-// one too: verdict, payload and solver telemetry travel together in one
+// SolverSession::run answers feasibility / explain / synthesize / optimize /
+// enumerate with an Answer, for Engine queries and session asks alike:
+// verdict, payload and solver telemetry travel together in one
 // value, so no caller has to read a second channel to learn how a query
 // ended. Every solver status becomes a Verdict in verdictOf() alone.
 #pragma once
@@ -24,9 +24,9 @@ struct Answer {
     /// Cancelled (cancel flag) or Unknown (conflict/propagation/memory
     /// budget). Error only for a what-if ask naming unknown entities.
     Verdict verdict = Verdict::Unknown;
-    /// The backend's stop reason after the query's last solver call; for a
-    /// what-if ask only when it stopped without a verdict. Distinguishes
-    /// deadline expiry from budgets and cancellation.
+    /// The backend's stop reason after the query's last solver call (None
+    /// for an ask refused for unknown names). Distinguishes deadline expiry
+    /// from budgets and cancellation.
     sat::StopReason stopReason = sat::StopReason::None;
 
     std::optional<Design> design;              ///< Synthesize/Optimize/ask: Sat

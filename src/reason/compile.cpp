@@ -674,6 +674,25 @@ smt::NodeId Compilation::optionVar(const std::string& name) const {
     return it == optionVars_.end() ? smt::kInvalidNode : it->second;
 }
 
+Compilation::Assumptions Compilation::assumptionsFor(
+    const Variation& variation, smt::FormulaStore& store) const {
+    Assumptions out;
+    const auto pin = [&](smt::NodeId var, bool value, std::string name) {
+        if (var == smt::kInvalidNode)
+            out.unknownNames.push_back(std::move(name));
+        else
+            out.literals.push_back(value ? var : store.mkNot(var));
+    };
+    for (const auto& [name, include] : variation.systems)
+        pin(systemVar(name), include, "system/" + name);
+    for (const auto& [cls, model] : variation.hardwareModels)
+        pin(hardwareVar(cls, model), true,
+            "hardware/" + toString(cls) + "/" + model);
+    for (const auto& [name, enabled] : variation.options)
+        pin(optionVar(name), enabled, "option/" + name);
+    return out;
+}
+
 Design Compilation::extractDesign(const smt::Backend& backend) const {
     const kb::KnowledgeBase& kb = *problem_.kb;
     Design design;
@@ -769,11 +788,39 @@ void recordSolverProgress(const sat::SolverProgress& p) {
     learnt.observe(static_cast<double>(p.learntClauses));
 }
 
+/// Deletion-based core minimization: drop one rule at a time; keep the drop
+/// whenever the remainder is still unsatisfiable (adopting the possibly even
+/// smaller core the solver returns).
+std::vector<int> minimizeCore(smt::Backend& backend, std::vector<int> core,
+                              std::span<const smt::NodeId> assumptions) {
+    std::size_t i = 0;
+    while (i < core.size()) {
+        std::vector<int> candidate = core;
+        candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
+        if (backend.checkWithTracks(candidate, assumptions) ==
+            smt::CheckStatus::Unsat) {
+            std::vector<int> shrunk = backend.unsatCore().tracks;
+            core = shrunk.empty() ? candidate : std::move(shrunk);
+            i = 0; // restart scan over the smaller core
+        } else {
+            ++i;
+        }
+    }
+    return core;
+}
+
+smt::CheckStatus statusOf(const smt::OptimizeResult& result) {
+    if (result.feasible) return smt::CheckStatus::Sat;
+    return result.unknown ? smt::CheckStatus::Unknown : smt::CheckStatus::Unsat;
+}
+
 } // namespace
 
 SolverSession::SolverSession(std::shared_ptr<const Compilation> compilation,
                              const QueryOptions& options)
-    : compilation_(std::move(compilation)), store_(compilation_->store()) {
+    : compilation_(std::move(compilation)),
+      options_(options),
+      store_(compilation_->store()) {
     expects(compilation_ != nullptr, "SolverSession: null compilation");
     smt::BackendConfig config = options.backendConfig();
     if (config.progressEveryConflicts > 0) config.progressFn = &recordSolverProgress;
@@ -795,10 +842,71 @@ SolverSession::SolverSession(std::shared_ptr<const Compilation> compilation,
         warmStartImported_ = backend_->importSnapshot(*options.warmStart);
         warmStarted_ = warmStartImported_ > 0;
     }
+    options_.warmStart.reset(); // imported; a held session must not pin it
 }
 
 void SolverSession::blockCurrentDesign() {
     backend_->addHard(compilation_->blockingClause(*backend_, store_));
+}
+
+Answer SolverSession::run(QueryKind kind, int maxDesigns,
+                          std::span<const smt::NodeId> assumptions,
+                          bool optimizeFirst) {
+    smt::Backend& backend = *backend_;
+    Answer answer;
+    smt::CheckStatus status = smt::CheckStatus::Sat;
+    switch (kind) {
+        case QueryKind::Feasibility:
+        case QueryKind::Explain: {
+            status = backend.check(assumptions);
+            if (status != smt::CheckStatus::Unsat) break;
+            std::vector<int> core = backend.unsatCore().tracks;
+            if (kind == QueryKind::Explain)
+                core = minimizeCore(backend, std::move(core), assumptions);
+            answer.conflictingRules = compilation_->describeTracks(core);
+            break;
+        }
+        case QueryKind::Synthesize:
+            status = backend.check(assumptions);
+            if (status == smt::CheckStatus::Sat) answer.design = extractDesign();
+            break;
+        case QueryKind::Optimize: {
+            // An interrupted optimize that still found a model answers with
+            // that best-effort design.
+            const smt::OptimizeResult result =
+                backend.optimize(compilation_->objectives(), assumptions);
+            status = statusOf(result);
+            if (result.feasible) {
+                answer.design = extractDesign();
+                answer.design->objectiveCosts = result.costs;
+            }
+            break;
+        }
+        case QueryKind::Enumerate:
+            // Lock in the optimal objective costs, then enumerate within them.
+            if (optimizeFirst)
+                status = statusOf(
+                    backend.optimize(compilation_->objectives(), assumptions));
+            while (status == smt::CheckStatus::Sat &&
+                   static_cast<int>(answer.designs.size()) < maxDesigns) {
+                status = backend.check(assumptions);
+                if (status != smt::CheckStatus::Sat) break;
+                answer.designs.push_back(extractDesign());
+                blockCurrentDesign();
+            }
+            // A partial enumeration is still an answer; an empty one is
+            // Unsat unless the solver gave up before the first design.
+            if (!answer.designs.empty()) status = smt::CheckStatus::Sat;
+            else if (status == smt::CheckStatus::Sat)
+                status = smt::CheckStatus::Unsat;
+            break;
+    }
+    answer.verdict = verdictOf(status, backend.lastStopReason(), options_);
+    answer.stopReason = backend.lastStopReason();
+    answer.stats = backend.stats();
+    answer.portfolio = backend.portfolioStats();
+    answer.warmStartImported = warmStartImported_;
+    return answer;
 }
 
 } // namespace lar::reason

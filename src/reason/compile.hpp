@@ -32,15 +32,21 @@
 // human-readable description is kept in trackedRules(); unsat cores map back
 // through it to produce the §6-style explanations ("which of your
 // requirements are in conflict").
+//
+// SolverSession::run is the one query executor: Engine::run calls it on a
+// fresh session per query, SessionManager on the session a what-if session
+// holds, with each Variation lowered to assumptions.
 #pragma once
 
 #include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "reason/answer.hpp"
 #include "reason/design.hpp"
 #include "reason/problem.hpp"
 #include "reason/query_options.hpp"
@@ -52,6 +58,18 @@ struct CdclImage;
 } // namespace lar::smt
 
 namespace lar::reason {
+
+/// One what-if variation: pins applied on top of a compiled problem. Only
+/// pin-style changes lower to assumptions; anything that changes rules (new
+/// workloads, different budgets) needs a new compilation.
+struct Variation {
+    /// System name → must be deployed (true) / must not (false).
+    std::map<std::string, bool> systems;
+    /// Hardware class → the model that must be used.
+    std::map<kb::HardwareClass, std::string> hardwareModels;
+    /// Option name → forced value.
+    std::map<std::string, bool> options;
+};
 
 class Compilation {
 public:
@@ -90,6 +108,20 @@ public:
     [[nodiscard]] smt::NodeId hardwareVar(kb::HardwareClass cls,
                                           const std::string& model) const;
     [[nodiscard]] smt::NodeId optionVar(const std::string& name) const;
+
+    /// A variation lowered to solver assumptions.
+    struct Assumptions {
+        std::vector<smt::NodeId> literals;
+        /// Pins naming entities this compilation lacks ("system/<name>",
+        /// "hardware/<class>/<model>", "option/<name>"), in variation order.
+        std::vector<std::string> unknownNames;
+    };
+    /// Maps each pin of `variation` to a literal built in `store` (a
+    /// session's copy). An unknown name maps to no literal: it lands in
+    /// unknownNames, so the caller can refuse the variation instead of
+    /// answering it vacuously.
+    [[nodiscard]] Assumptions assumptionsFor(const Variation& variation,
+                                             smt::FormulaStore& store) const;
 
     /// Reads `backend`'s current model into a Design (resource accounting
     /// and cost computed from the chosen hardware).
@@ -177,9 +209,21 @@ public:
     SolverSession(const SolverSession&) = delete;
     SolverSession& operator=(const SolverSession&) = delete;
 
+    /// Answers one query of `kind` under `assumptions` on this session's
+    /// solver. Enumerate returns up to `maxDesigns` designs, of the optimal
+    /// equivalence class when `optimizeFirst`; the other kinds ignore both.
+    /// The answer carries the verdict, its payload (a Feasibility answer
+    /// names the conflicting rules but carries no design) and the session's
+    /// cumulative solver telemetry. Feasibility and Explain leave only learnt
+    /// clauses behind, so a held session can answer again; Optimize and
+    /// Enumerate lock their bounds and blocking clauses in.
+    [[nodiscard]] Answer run(QueryKind kind, int maxDesigns = 0,
+                             std::span<const smt::NodeId> assumptions = {},
+                             bool optimizeFirst = true);
+
     [[nodiscard]] smt::Backend& backend() { return *backend_; }
     [[nodiscard]] const smt::Backend& backend() const { return *backend_; }
-    /// The session's private store copy (mutable: what-if assumptions and
+    /// The session's private store copy (mutable: variation assumptions and
     /// blocking clauses build new nodes here; compilation node ids are
     /// preserved by the copy).
     [[nodiscard]] smt::FormulaStore& store() { return store_; }
@@ -209,6 +253,7 @@ public:
 
 private:
     std::shared_ptr<const Compilation> compilation_;
+    QueryOptions options_; ///< as given, minus the imported warm start
     smt::FormulaStore store_;
     std::unique_ptr<smt::Backend> backend_;
     std::size_t warmStartImported_ = 0;

@@ -20,30 +20,6 @@ Engine::Engine(std::shared_ptr<const Compilation> compilation,
 
 namespace {
 
-/// Deletion-based core minimization: drop one rule at a time; keep the drop
-/// whenever the remainder is still unsatisfiable (adopting the possibly even
-/// smaller core the solver returns).
-std::vector<int> minimizeCore(smt::Backend& backend, std::vector<int> core) {
-    std::size_t i = 0;
-    while (i < core.size()) {
-        std::vector<int> candidate = core;
-        candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
-        if (backend.checkWithTracks(candidate) == smt::CheckStatus::Unsat) {
-            std::vector<int> shrunk = backend.unsatCore().tracks;
-            core = shrunk.empty() ? candidate : std::move(shrunk);
-            i = 0; // restart scan over the smaller core
-        } else {
-            ++i;
-        }
-    }
-    return core;
-}
-
-smt::CheckStatus statusOf(const smt::OptimizeResult& result) {
-    if (result.feasible) return smt::CheckStatus::Sat;
-    return result.unknown ? smt::CheckStatus::Unknown : smt::CheckStatus::Unsat;
-}
-
 FeasibilityReport toReport(Answer answer) {
     return {answer.verdict == Verdict::Sat, gaveUp(answer.verdict),
             std::move(answer.conflictingRules)};
@@ -58,60 +34,7 @@ Answer Engine::run(QueryKind kind, int maxDesigns) {
 Answer Engine::execute(QueryKind kind, int maxDesigns, bool optimizeFirst) {
     const obs::Span span("solve");
     SolverSession session(compilation_, options_);
-    smt::Backend& backend = session.backend();
-    Answer answer;
-    smt::CheckStatus status = smt::CheckStatus::Sat;
-    switch (kind) {
-        case QueryKind::Feasibility:
-        case QueryKind::Explain: {
-            status = backend.check();
-            if (status != smt::CheckStatus::Unsat) break;
-            std::vector<int> core = backend.unsatCore().tracks;
-            if (kind == QueryKind::Explain)
-                core = minimizeCore(backend, std::move(core));
-            answer.conflictingRules = compilation_->describeTracks(core);
-            break;
-        }
-        case QueryKind::Synthesize:
-            status = backend.check();
-            if (status == smt::CheckStatus::Sat)
-                answer.design = session.extractDesign();
-            break;
-        case QueryKind::Optimize: {
-            // An interrupted optimize that still found a model answers with
-            // that best-effort design.
-            const smt::OptimizeResult result =
-                backend.optimize(compilation_->objectives());
-            status = statusOf(result);
-            if (result.feasible) {
-                answer.design = session.extractDesign();
-                answer.design->objectiveCosts = result.costs;
-            }
-            break;
-        }
-        case QueryKind::Enumerate:
-            // Lock in the optimal objective costs, then enumerate within them.
-            if (optimizeFirst)
-                status = statusOf(backend.optimize(compilation_->objectives()));
-            while (status == smt::CheckStatus::Sat &&
-                   static_cast<int>(answer.designs.size()) < maxDesigns) {
-                status = backend.check();
-                if (status != smt::CheckStatus::Sat) break;
-                answer.designs.push_back(session.extractDesign());
-                session.blockCurrentDesign();
-            }
-            // A partial enumeration is still an answer; an empty one is
-            // Unsat unless the solver gave up before the first design.
-            if (!answer.designs.empty()) status = smt::CheckStatus::Sat;
-            else if (status == smt::CheckStatus::Sat)
-                status = smt::CheckStatus::Unsat;
-            break;
-    }
-    answer.verdict = verdictOf(status, backend.lastStopReason(), options_);
-    answer.stopReason = backend.lastStopReason();
-    answer.stats = backend.stats();
-    answer.portfolio = backend.portfolioStats();
-    answer.warmStartImported = session.warmStartImported();
+    Answer answer = session.run(kind, maxDesigns, {}, optimizeFirst);
     if (options_.captureSnapshot) {
         sat::SolverSnapshot snap = session.exportSnapshot();
         if (!snap.empty())

@@ -4,9 +4,10 @@
 // the Service's compilation cache) and answers the architect's queries on
 // it: feasibility with rule-level conflict explanations (§6
 // "Explainability"), synthesis, lexicographic optimization (Listing 3 line
-// 10), and equivalence-class enumeration. run() is the one executor: it
-// returns an Answer carrying the verdict, the payload and the solver
-// telemetry; the typed methods are projections of it.
+// 10), and equivalence-class enumeration. run() answers each query through
+// SolverSession::run, the one executor, on a fresh session: an Answer
+// carrying the verdict, the payload and the solver telemetry. The typed
+// methods are projections of it.
 //
 // Reentrancy contract: every query acquires a fresh SolverSession from the
 // compilation, so queries are independent — optimize() followed by

@@ -1,6 +1,6 @@
 // Unified per-query knobs for the reasoning layer.
 //
-// Every entry point that answers an architect query — Engine, WhatIfSession,
+// Every entry point that answers an architect query — Engine, session asks,
 // the free §5.1 helpers, and the concurrent Service — takes a QueryOptions
 // instead of a bare smt::BackendKind, so new knobs (seeds, timeouts, trace
 // collection, portfolio width) reach the whole stack without another round
@@ -28,7 +28,7 @@ struct QueryOptions {
     /// and compilation are deducted before the solver starts, and a request
     /// that expires while still queued answers TimedOut without solving.
     /// Used directly it bounds a whole Engine query (its prepare round and
-    /// every solver call share one deadline) or one WhatIfSession ask.
+    /// every solver call share one deadline) or one session ask.
     /// On exhaustion the query's Answer carries Verdict::TimedOut (the typed
     /// Engine methods: FeasibilityReport::timedOut, or nullopt).
     int timeoutMs = 0;

@@ -236,7 +236,7 @@ public:
 
     /// The compilation the cache would serve for `problem` (compiling and
     /// inserting on miss). Exposed so callers can pre-warm or share it with
-    /// their own Engines/WhatIfSessions.
+    /// their own Engines and SolverSessions.
     [[nodiscard]] std::shared_ptr<const Compilation> compilationFor(
         const Problem& problem);
     /// Like compilationFor(), reporting whether the cache hit and the
@@ -246,7 +246,7 @@ public:
 
     /// The cached warm-start snapshot for `problem`'s fingerprint, or
     /// nullptr (miss / warm starting disabled). Exposed so session owners
-    /// (reason::SessionManager) can seed their WhatIfSessions from the same
+    /// (reason::SessionManager) can seed their held solvers from the same
     /// cache the query path feeds.
     [[nodiscard]] std::shared_ptr<const sat::SolverSnapshot> snapshotFor(
         const Problem& problem);

@@ -53,7 +53,38 @@ std::string makeSessionId(std::uint64_t seq) {
     return buf;
 }
 
+QueryOptions cancellable(QueryOptions query, std::atomic<bool>& cancel) {
+    query.cancelFlag = &cancel;
+    return query;
+}
+
+/// One ask on a held solver: the variation's pins become the assumptions of
+/// a feasibility run, and a Sat answer also carries the witness design.
+/// Unknown names are a structured error that never reaches the solver: an
+/// assumption that maps to nothing would make the ask vacuously feasible,
+/// which is the worst possible answer to a typo.
+Answer askOn(SolverSession& solver, const Variation& variation) {
+    Compilation::Assumptions lowered =
+        solver.compilation().assumptionsFor(variation, solver.store());
+    if (!lowered.unknownNames.empty()) {
+        Answer answer;
+        answer.verdict = Verdict::Error;
+        answer.unknownNames = std::move(lowered.unknownNames);
+        answer.stats = solver.backend().stats();
+        answer.warmStartImported = solver.warmStartImported();
+        return answer;
+    }
+    solver.backend().restartDeadline(); // timeoutMs bounds each ask
+    Answer answer = solver.run(QueryKind::Feasibility, 0, lowered.literals);
+    if (answer.verdict == Verdict::Sat) answer.design = solver.extractDesign();
+    return answer;
+}
+
 } // namespace
+
+SessionManager::Session::Session(std::shared_ptr<const Compilation> compilation,
+                                 QueryOptions query)
+    : solver(std::move(compilation), cancellable(std::move(query), cancel)) {}
 
 SessionManager::SessionManager(Service& service, const SessionOptions& options)
     : service_(service), options_(options) {
@@ -95,14 +126,12 @@ SessionManager::CreateResult SessionManager::create(const Problem& problem) {
     const std::shared_ptr<const Compilation> compilation =
         service_.compilationFor(problem, result.cacheHit, result.compileMs);
 
-    auto session = std::make_shared<Session>();
     QueryOptions query = options_.query;
-    query.cancelFlag = &session->cancel;
     query.warmStart = service_.snapshotFor(problem);
-    session->whatIf = std::make_unique<WhatIfSession>(compilation, query);
-    result.warmStarted = session->whatIf->warmStarted();
-    result.warmStartClauses = session->whatIf->warmStartImported();
-    service_.countWarmStartImport(result.warmStartClauses);
+    const auto session =
+        std::make_shared<Session>(compilation, std::move(query));
+    result.warmStarted = session->solver.warmStarted();
+    result.warmStartClauses = session->solver.warmStartImported();
 
     {
         const std::lock_guard<std::mutex> lock(mutex_);
@@ -120,6 +149,8 @@ SessionManager::CreateResult SessionManager::create(const Problem& problem) {
         result.id = session->id;
         metrics.active.set(static_cast<double>(sessions_.size()));
     }
+    // Counted only once admitted: a refused create's import never serves.
+    service_.countWarmStartImport(result.warmStartClauses);
     metrics.created.inc();
     util::logLineJson(util::LogLevel::Info, "session_created",
                       {{"id", result.id},
@@ -166,7 +197,7 @@ std::optional<SessionManager::AskOutcome> SessionManager::ask(
         result.id = id + "#" + std::to_string(askIndex);
         util::FaultInjector::global().maybeFault("session.ask");
         util::Stopwatch solveTimer;
-        outcome.answer = session->whatIf->ask(variation);
+        outcome.answer = askOn(session->solver, variation);
         result.trace.solveMs = solveTimer.millis();
     } catch (const std::exception& e) {
         scope.fail(e);
@@ -186,7 +217,7 @@ std::optional<SessionManager::AskOutcome> SessionManager::ask(
     result.verdict = outcome.answer.verdict;
     result.trace.cacheHit = true; // the session *is* the warm compilation
     traceAnswer(outcome.answer, result.trace);
-    result.trace.warmStartAttempted = session->whatIf->warmStarted();
+    result.trace.warmStartAttempted = session->solver.warmStarted();
     outcome.trace = scope.finish().trace;
     return outcome;
 }
@@ -204,10 +235,10 @@ void SessionManager::exportSnapshot(Session& session) {
     // internals. Asks only add assumptions (never clauses), so the export
     // normally succeeds and the next session on this problem starts warm.
     const std::lock_guard<std::mutex> askLock(session.askMutex);
-    sat::SolverSnapshot snap = session.whatIf->exportSnapshot();
+    sat::SolverSnapshot snap = session.solver.exportSnapshot();
     if (snap.empty()) return;
     service_.storeSnapshot(
-        session.whatIf->compilation().problem(),
+        session.solver.compilation().problem(),
         std::make_shared<const sat::SolverSnapshot>(std::move(snap)));
 }
 
@@ -268,7 +299,7 @@ std::vector<SessionManager::SessionInfo> SessionManager::list() const {
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 session->leaseExpiry - now)
                 .count();
-        info.warmStarted = session->whatIf->warmStarted();
+        info.warmStarted = session->solver.warmStarted();
         out.push_back(std::move(info));
     }
     return out;

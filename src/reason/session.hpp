@@ -1,11 +1,13 @@
 // Server-side what-if sessions with lease-based lifecycles.
 //
-// The paper's §5.1 workflow — change one pin, ask again — is answered
-// in-process by WhatIfSession, but over HTTP every round-trip through
-// /v1/query solved cold. SessionManager makes the session a first-class
-// server resource: create() compiles (or cache-hits) the problem once and
-// keeps a live WhatIfSession; ask() answers each variation through solver
-// assumptions at incremental cost; close() (or lease expiry) tears it down.
+// The paper's §5.1 workflow — change one pin, ask again — would solve cold
+// on every round-trip through /v1/query. SessionManager makes the session a
+// first-class server resource: create() compiles (or cache-hits) the
+// problem once and holds a SolverSession over it; ask() lowers each
+// variation to assumptions (Compilation::assumptionsFor) and answers it
+// with a feasibility run on that held solver (SolverSession::run, the
+// executor Engine queries use), so learnt clauses carry over from ask to
+// ask; close() (or lease expiry) tears it down.
 //
 // Lifecycle and safety:
 //  * every session holds a lease; ask() and renew() extend it, and a sweep
@@ -47,8 +49,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "reason/compile.hpp"
 #include "reason/service.hpp"
-#include "reason/whatif.hpp"
 
 namespace lar::reason {
 
@@ -138,10 +140,14 @@ private:
     using Clock = std::chrono::steady_clock;
 
     struct Session {
+        Session(std::shared_ptr<const Compilation> compilation,
+                QueryOptions query);
+
         std::string id;
-        std::unique_ptr<WhatIfSession> whatIf;
         std::mutex askMutex;             ///< serializes asks on this session
-        std::atomic<bool> cancel{false}; ///< flipped by drain()
+        std::atomic<bool> cancel{false}; ///< flipped by drain(); the solver
+                                         ///< polls it, so it comes first
+        SolverSession solver;            ///< held across asks
         Clock::time_point leaseExpiry;   ///< guarded by the manager mutex
         std::atomic<std::uint64_t> asks{0}; ///< answered so far (atomic: the
                                             ///< debug listing reads it without

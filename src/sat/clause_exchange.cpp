@@ -23,18 +23,19 @@ void ClauseExchange::publish(int worker, std::span<const Lit> lits, int lbd) {
     const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
     Slot& slot = ring.slots[head % ring.slots.size()];
 
-    // Atomic-payload seqlock write: version goes odd, then the payload (all
-    // relaxed — the release fence orders them after the odd version), then
-    // version lands on the next even value.
+    // Atomic-payload seqlock write: version goes odd, then the payload, then
+    // version lands on the next even value. Each payload word is a release
+    // store, so a reader that acquires any new word also sees the odd
+    // version and rejects the slot (no fences: ThreadSanitizer does not
+    // model them).
     const std::uint32_t v = slot.version.load(std::memory_order_relaxed);
     slot.version.store(v + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
     const int clampedLbd = std::clamp(lbd, 0, 255);
     slot.meta.store(static_cast<std::uint32_t>(lits.size()) |
                         (static_cast<std::uint32_t>(clampedLbd) << 8),
-                    std::memory_order_relaxed);
+                    std::memory_order_release);
     for (std::size_t i = 0; i < lits.size(); ++i)
-        slot.lits[i].store(lits[i].index(), std::memory_order_relaxed);
+        slot.lits[i].store(lits[i].index(), std::memory_order_release);
     slot.version.store(v + 2, std::memory_order_release);
 
     ring.head.store(head + 1, std::memory_order_release);
@@ -68,12 +69,13 @@ void ClauseExchange::collect(int worker, std::vector<ImportedClause>& out) {
                 lost_.fetch_add(1, std::memory_order_relaxed);
                 continue;
             }
-            const std::uint32_t meta = slot.meta.load(std::memory_order_relaxed);
+            // Acquire loads: seeing any word of a newer write makes its odd
+            // version visible to the re-check below.
+            const std::uint32_t meta = slot.meta.load(std::memory_order_acquire);
             const std::size_t size = meta & 0xff;
             std::array<std::int32_t, kMaxLits> codes{};
             for (std::size_t i = 0; i < size && i < kMaxLits; ++i)
-                codes[i] = slot.lits[i].load(std::memory_order_relaxed);
-            std::atomic_thread_fence(std::memory_order_acquire);
+                codes[i] = slot.lits[i].load(std::memory_order_acquire);
             const std::uint32_t v2 = slot.version.load(std::memory_order_relaxed);
             if (v2 != expected || size == 0 || size > kMaxLits) {
                 lost_.fetch_add(1, std::memory_order_relaxed);

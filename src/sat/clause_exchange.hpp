@@ -4,7 +4,8 @@
 // publishes into ring `i`; every other worker reads all rings it does not
 // own, each with its own private cursor per ring. Slots use the atomic-
 // payload seqlock recipe (version word goes odd while a write is in flight,
-// payload literals live in relaxed std::atomic words), so readers never
+// payload literals live in std::atomic words stored with release and
+// loaded with acquire, in place of fences), so readers never
 // block writers, torn reads are impossible, and the whole structure is
 // clean under ThreadSanitizer. A slow reader that gets lapped clamps its
 // cursor forward and counts the overwritten clauses as `lost` — sharing is

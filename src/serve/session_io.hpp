@@ -17,7 +17,7 @@
 #pragma once
 
 #include "json/value.hpp"
-#include "reason/whatif.hpp"
+#include "reason/compile.hpp"
 
 namespace lar::serve {
 

@@ -24,8 +24,8 @@
 //    sole worker — later addHard/check/optimize/model calls all forward to
 //    it, which is exactly the enumeration (blocking-clause) pattern.
 //
-// The wrapper satisfies smt::Backend, so Engine, WhatIfSession, unsat cores
-// and optimization work unchanged on top of it.
+// The wrapper satisfies smt::Backend, so Engine queries, session asks, unsat
+// cores and optimization work unchanged on top of it.
 #pragma once
 
 #include <atomic>

@@ -6,7 +6,7 @@
 #include "catalog/catalog.hpp"
 #include "kb/objectives.hpp"
 #include "reason/service.hpp"
-#include "reason/whatif.hpp"
+#include "reason/session.hpp"
 
 namespace lar::reason {
 namespace {
@@ -247,10 +247,15 @@ TEST_F(ServiceTest, SharedCompilationServesEngineAndWhatIf) {
     Engine engine(compilation);
     ASSERT_TRUE(engine.checkFeasible().feasible);
 
-    WhatIfSession whatIf(compilation);
+    SessionManager sessions(service);
+    const SessionManager::CreateResult created = sessions.create(p);
+    ASSERT_FALSE(created.shed);
+    EXPECT_TRUE(created.cacheHit); // the session binds the same compilation
     Variation variation;
     variation.systems["Sonata"] = true;
-    const Answer answer = whatIf.ask(variation);
+    const auto outcome = sessions.ask(created.id, variation);
+    ASSERT_TRUE(outcome.has_value());
+    const Answer& answer = outcome->answer;
     EXPECT_TRUE(answer.verdict == Verdict::Sat);
     ASSERT_TRUE(answer.design.has_value());
     EXPECT_TRUE(answer.design->uses("Sonata"));

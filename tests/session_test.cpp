@@ -5,11 +5,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
 
 #include "catalog/catalog.hpp"
+#include "obs/metrics.hpp"
+#include "reason/engine.hpp"
 #include "reason/service.hpp"
 #include "reason/session.hpp"
 #include "util/fault_injector.hpp"
@@ -220,6 +223,54 @@ TEST_F(SessionTest, CloseChainsWarmStartToNextSession) {
     EXPECT_GT(second.warmStartClauses, 0U);
     EXPECT_TRUE(second.cacheHit); // compilation cache also hits
     ASSERT_TRUE(manager.ask(second.id, {}).has_value());
+}
+
+// A create refused after its compile (the service began draining
+// meanwhile) has already imported the warm start, but that import never
+// serves a query: it must not reach lar_warmstart_clauses_imported_total.
+TEST_F(SessionTest, RefusedCreateCountsNoWarmStartImport) {
+    const Problem problem = caseStudy();
+    QueryOptions capture;
+    capture.captureSnapshot = true;
+    const std::shared_ptr<const sat::SolverSnapshot> snapshot =
+        Engine(problem, capture).run(QueryKind::Feasibility).snapshot;
+    ASSERT_NE(snapshot, nullptr);
+    QueryOptions warm;
+    warm.warmStart = snapshot;
+    ASSERT_GT(SolverSession(std::make_shared<const Compilation>(problem), warm)
+                  .warmStartImported(),
+              0U); // a real snapshot: a session over the problem imports it
+
+    ServiceOptions serviceOptions = lightService();
+    serviceOptions.warmStartCapacity = 4;
+    Service service(serviceOptions);
+    service.storeSnapshot(problem, snapshot);
+    SessionManager manager(service);
+    const obs::Counter& imported = obs::Registry::global().counter(
+        "lar_warmstart_clauses_imported_total",
+        "Learnt clauses integrated from warm-start snapshots");
+    const std::uint64_t before = imported.value();
+
+    // Hold the create inside its compile long enough for the drain to land
+    // between its two admission checks.
+    util::FaultInjector& injector = util::FaultInjector::global();
+    injector.reset();
+    injector.armDelayMs("service.compile", 200);
+    SessionManager::CreateResult created;
+    std::thread creator([&] { created = manager.create(problem); });
+    const auto giveUp =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (injector.hits("service.compile") == 0 &&
+           std::chrono::steady_clock::now() < giveUp)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    service.beginDrain();
+    creator.join();
+    injector.reset();
+
+    EXPECT_TRUE(created.shed);
+    EXPECT_TRUE(created.warmStarted); // the solver did import the snapshot
+    EXPECT_EQ(imported.value(), before);
+    EXPECT_EQ(manager.activeSessions(), 0U);
 }
 
 // The race this pins down: the sweeper evicts a session while an ask is

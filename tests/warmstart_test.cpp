@@ -17,7 +17,7 @@
 #include "fuzzcorpus.hpp"
 #include "reason/engine.hpp"
 #include "reason/service.hpp"
-#include "reason/whatif.hpp"
+#include "reason/session.hpp"
 #include "sat/solver.hpp"
 #include "testsupport.hpp"
 #include "util/rng.hpp"
@@ -154,29 +154,34 @@ TEST(WarmStartOracle, ServiceVerdictsAgreeWarmVsCold) {
     }
 }
 
-TEST(WarmStartOracle, WhatIfSessionVerdictsAgreeWarmVsCold) {
+TEST(WarmStartOracle, SessionAskVerdictsAgreeWarmVsCold) {
     int warmStartedSessions = 0;
     for (std::uint64_t seed = 30; seed <= 45; ++seed) {
         util::Rng rng(seed);
         const kb::KnowledgeBase kb = fuzz::randomKb(rng);
         const reason::Problem problem = fuzz::randomProblem(rng, kb);
 
-        reason::WhatIfSession cold(problem);
-        const sat::SolverSnapshot snap = [&] {
-            reason::WhatIfSession seeder(problem);
-            (void)seeder.ask({});
-            return seeder.exportSnapshot();
-        }();
-
-        reason::QueryOptions warmOptions;
-        const auto shared =
-            std::make_shared<const sat::SolverSnapshot>(snap);
-        if (!snap.empty()) warmOptions.warmStart = shared;
-        reason::WhatIfSession warm(problem, warmOptions);
-        // warmStarted() means "clauses integrated", which a single seed may
+        reason::ServiceOptions serviceOptions;
+        serviceOptions.workers = 1;
+        serviceOptions.warmStartCapacity = 4;
+        reason::Service service(serviceOptions);
+        reason::SessionManager sessions(service);
+        // Opened before anything is cached, so it starts cold.
+        const auto cold = sessions.create(problem);
+        ASSERT_FALSE(cold.shed);
+        EXPECT_FALSE(cold.warmStarted);
+        // A closed session exports its learnt state; the next create
+        // imports it.
+        const auto seeder = sessions.create(problem);
+        ASSERT_FALSE(seeder.shed);
+        ASSERT_TRUE(sessions.ask(seeder.id, {}).has_value());
+        ASSERT_TRUE(sessions.close(seeder.id));
+        const auto warm = sessions.create(problem);
+        ASSERT_FALSE(warm.shed);
+        // warmStarted means "clauses integrated", which a single seed may
         // legitimately miss (trivial problem, or every exported unit already
         // on the fresh solver's level-0 trail) — count across seeds instead.
-        if (warm.warmStarted()) ++warmStartedSessions;
+        if (warm.warmStarted) ++warmStartedSessions;
 
         // The base problem plus a few random pin variations must agree.
         util::Rng vary(seed * 977);
@@ -188,9 +193,10 @@ TEST(WarmStartOracle, WhatIfSessionVerdictsAgreeWarmVsCold) {
                     systems[vary.below(systems.size())];
                 variation.systems[pick.name] = vary.chance(0.5);
             }
-            const reason::Answer a = cold.ask(variation);
-            const reason::Answer b = warm.ask(variation);
-            EXPECT_EQ(a.verdict, b.verdict)
+            const auto a = sessions.ask(cold.id, variation);
+            const auto b = sessions.ask(warm.id, variation);
+            ASSERT_TRUE(a.has_value() && b.has_value());
+            EXPECT_EQ(a->answer.verdict, b->answer.verdict)
                 << "seed " << seed << " round " << round;
         }
     }
