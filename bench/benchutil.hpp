@@ -1,7 +1,7 @@
-// Shared table/report helpers for the experiment benches.
+// Shared table/report helpers for the timing benches.
 //
-// Benches print the paper-replication tables on stdout. Keep formatting
-// plain (fixed-width columns) so outputs diff cleanly across runs.
+// Benches print their measurement tables on stdout. Keep formatting plain
+// (fixed-width columns) so outputs diff cleanly across runs.
 #pragma once
 
 #include <cstdio>
@@ -23,12 +23,6 @@ inline void printRow(const std::vector<std::string>& cells) {
     for (std::size_t i = 0; i < cells.size(); ++i)
         std::printf(i == 0 ? "%-34s" : "%12s", cells[i].c_str());
     std::printf("\n");
-}
-
-inline std::string pct(double ratio) {
-    char buf[16];
-    std::snprintf(buf, sizeof buf, "%.1f%%", ratio * 100.0);
-    return buf;
 }
 
 inline std::string ms(double millis) {

@@ -4,7 +4,10 @@
 #   scripts/verify.sh            run all legs
 #   scripts/verify.sh tier1      plain build + ctest only
 #   scripts/verify.sh sanitize   ASan/UBSan build + ctest only
-#   scripts/verify.sh portfolio  TSan portfolio suite only
+#   scripts/verify.sh portfolio  TSan portfolio suite, then the
+#                                bench_portfolio gate (verdict agreement;
+#                                >=1.5x median speedup with >=4 hardware
+#                                threads)
 #   scripts/verify.sh solver     clause-arena + inprocessing path: solver,
 #                                simplify and MaxSAT/lex suites + the
 #                                portfolio/warm-start/inprocessing
@@ -54,10 +57,18 @@ run_portfolio() {
     # The portfolio backend and its clause exchange are the most aggressively
     # lock-free code in the tree; run their suite under ThreadSanitizer
     # (built in the plain tree — the TSan test variants are per-executable).
-    echo "== portfolio: TSan clause-sharing/race suite =="
+    # Then bench_portfolio races a 4-wide portfolio against one solver on
+    # hard random 3-SAT: every verdict must agree, and with >=4 hardware
+    # threads the median speedup must reach 1.5x. It exits nonzero on a
+    # failed gate.
+    echo "== portfolio: TSan clause-sharing/race suite + speedup gate =="
     cmake -B "$root/build" -S "$root"
-    cmake --build "$root/build" -j"$jobs" --target portfolio_test_tsan
+    cmake --build "$root/build" -j"$jobs" --target portfolio_test_tsan \
+        bench_portfolio
     (cd "$root/build" && ctest --output-on-failure -R '^portfolio_tsan$')
+
+    echo "-- bench: portfolio verdict agreement + speedup gate --"
+    "$root/build/bench/bench_portfolio"
 }
 
 run_solver() {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <regex>
+
 #include "catalog/catalog.hpp"
 #include "extract/checker.hpp"
 #include "extract/extractor.hpp"
 #include "extract/specgen.hpp"
+#include "doc_section.hpp"
 #include "util/error.hpp"
 
 namespace lar::extract {
@@ -45,16 +48,26 @@ TEST_F(ExtractTest, Listing1SheetRendersPaperFields) {
 TEST_F(ExtractTest, HardwareExtractionIsPerfectOnWholeCorpus) {
     // §4.1: "the LLM extracted the fields with 100% accuracy (unless it was
     // missing in the spec itself)".
+    int sheets = 0;
     int totalFields = 0;
     int correctFields = 0;
     for (const SpecSheet& sheet : renderHardwareCorpus(*kb_)) {
         const kb::HardwareSpec extracted = extractHardware(sheet.text);
         const FieldAccuracy acc = compareHardware(extracted, sheet.groundTruth);
+        ++sheets;
         totalFields += acc.total;
         correctFields += acc.correct;
     }
     EXPECT_GT(totalFields, 1500);
     EXPECT_EQ(correctFields, totalFields); // 100 %
+
+    std::smatch m;
+    const std::string section = test::docSection(LAR_EXPERIMENTS_MD, "LST1");
+    ASSERT_TRUE(std::regex_search(
+        section, m, std::regex(R"(\((\d+)/(\d+) fields over (\d+) sheets)")));
+    EXPECT_EQ(std::stoi(m[1]), correctFields);
+    EXPECT_EQ(std::stoi(m[2]), totalFields);
+    EXPECT_EQ(std::stoi(m[3]), sheets);
 }
 
 TEST_F(ExtractTest, ExtractHardwareParsesThousandsSeparators) {
@@ -124,6 +137,7 @@ TEST_F(ExtractTest, NoisyExtractionMatchesPaperFindings) {
         static_cast<double>(stats.quantitiesCorrect) / stats.quantitiesTotal;
     EXPECT_GT(hardRecall, 0.9);
     EXPECT_LT(nuanceRecall, 0.7);
+    EXPECT_LT(nuanceRecall, hardRecall - 0.2);
     EXPECT_LT(quantityPrecision, hardRecall);
     EXPECT_GT(stats.nuanceConditionsTotal, 0);
 }
@@ -154,19 +168,28 @@ TEST_F(ExtractTest, CheckerFindsShenangoInterruptPollingGap) {
     incomplete.constraints = kb::Requirement::hardwareHas(
         kb::HardwareClass::Nic, kb::kAttrSrIov); // forgot interrupt polling
     const SystemDoc doc = renderSystemDoc(kb_->system("Shenango"));
+    const auto flagged = [](const CheckResult& result) {
+        return std::any_of(
+            result.findings.begin(), result.findings.end(),
+            [](const CheckFinding& finding) {
+                return finding.type == CheckFinding::Type::MissingCondition &&
+                       finding.description.find("interrupt_polling") !=
+                           std::string::npos;
+            });
+    };
     CheckerModel certain;
     certain.detectMissingCondition = 1.0;
     certain.falseAlarm = 0.0;
     util::Rng rng(3);
-    const CheckResult result = checkEncoding(incomplete, doc, certain, rng);
-    const bool flagged = std::any_of(
-        result.findings.begin(), result.findings.end(),
-        [](const CheckFinding& finding) {
-            return finding.type == CheckFinding::Type::MissingCondition &&
-                   finding.description.find("interrupt_polling") !=
-                       std::string::npos;
-        });
-    EXPECT_TRUE(flagged);
+    EXPECT_TRUE(flagged(checkEncoding(incomplete, doc, certain, rng)));
+
+    // Under the default (imperfect) checker, the paper's "it identified that
+    // we missed it" must hold in more than 80 of 100 runs.
+    int runsFlagged = 0;
+    for (int run = 0; run < 100; ++run)
+        runsFlagged +=
+            flagged(checkEncoding(incomplete, doc, CheckerModel{}, rng));
+    EXPECT_GT(runsFlagged, 80);
 }
 
 TEST_F(ExtractTest, CheckerFlagsWrongSonataStageCount) {
@@ -176,17 +199,26 @@ TEST_F(ExtractTest, CheckerFlagsWrongSonataStageCount) {
     for (kb::ResourceDemand& d : wrong.demands)
         if (d.resource == kb::kResP4Stages) d.fixed = 2; // truth is 8
     const SystemDoc doc = renderSystemDoc(kb_->system("Sonata"));
+    const auto flagged = [](const CheckResult& result) {
+        return std::any_of(result.findings.begin(), result.findings.end(),
+                           [](const CheckFinding& finding) {
+                               return finding.type ==
+                                      CheckFinding::Type::WrongValue;
+                           });
+    };
     CheckerModel certain;
     certain.detectWrongValue = 1.0;
     certain.falseAlarm = 0.0;
     util::Rng rng(3);
-    const CheckResult result = checkEncoding(wrong, doc, certain, rng);
-    const bool flagged = std::any_of(
-        result.findings.begin(), result.findings.end(),
-        [](const CheckFinding& finding) {
-            return finding.type == CheckFinding::Type::WrongValue;
-        });
-    EXPECT_TRUE(flagged);
+    EXPECT_TRUE(flagged(checkEncoding(wrong, doc, certain, rng)));
+
+    // Under the default checker the alarm is raised only part of the time:
+    // in more than 20 and fewer than 90 of 100 runs.
+    int runsFlagged = 0;
+    for (int run = 0; run < 100; ++run)
+        runsFlagged += flagged(checkEncoding(wrong, doc, CheckerModel{}, rng));
+    EXPECT_GT(runsFlagged, 20);
+    EXPECT_LT(runsFlagged, 90);
 }
 
 TEST_F(ExtractTest, ExistenceCheckingBeatsValueChecking) {

@@ -188,6 +188,11 @@ struct MalformedCase {
     int wantStatus;
 };
 
+// Print a case by its name. Without this gtest dumps the struct's raw bytes
+// into the listed test name, and those hold the name pointer, which changes
+// from run to run.
+void PrintTo(const MalformedCase& c, std::ostream* os) { *os << c.name; }
+
 class HttpParserMalformed : public ::testing::TestWithParam<MalformedCase> {};
 
 TEST_P(HttpParserMalformed, RejectsWithExpectedStatus) {

@@ -53,6 +53,16 @@ TEST_F(LlmSimTest, SimpleAggregateQueriesAreCorrect) {
     EXPECT_EQ(llm.minCoresNeeded({"SIMON"}), expected);
     EXPECT_EQ(llm.minCoresNeeded({}), agg.totalPeakCores);
     EXPECT_EQ(llm.minCoresNeeded({"NoSuchSystem"}), agg.totalPeakCores);
+
+    // The SAT engine answers by construction: a validated design deploying
+    // SIMON accounts for at least that core demand.
+    reason::Problem withSimon = p;
+    withSimon.pinnedSystems["SIMON"] = true;
+    const auto sat = reason::Engine(withSimon).optimize();
+    ASSERT_TRUE(sat.has_value());
+    EXPECT_TRUE(sat->uses("SIMON"));
+    EXPECT_GE(sat->resourceUsage.at(kb::kResCores), expected);
+    EXPECT_TRUE(reason::validateDesign(withSimon, *sat).empty());
 }
 
 TEST_F(LlmSimTest, GreedyProposalLooksPlausible) {
@@ -79,6 +89,31 @@ TEST_F(LlmSimTest, GreedyMissesNuancesTheSatEngineCatches) {
     const auto sat = engine.optimize();
     ASSERT_TRUE(sat.has_value());
     EXPECT_TRUE(reason::validateDesign(p, *sat).empty());
+}
+
+TEST_F(LlmSimTest, SatEngineAnswersTheNuancedQueries) {
+    // §5.2's other nuanced queries: a tight budget, P4-only switches with
+    // Sonata pinned, and RoCEv2 where flooding is in place. The SAT engine
+    // answers each correctly, as scored by the validator.
+    reason::Problem budget = caseStudy();
+    budget.maxHardwareCostUsd = 700000; // tight but feasible
+    reason::Problem p4Only = caseStudy();
+    for (const kb::HardwareSpec* h : kb_->byClass(HardwareClass::Switch))
+        if (h->boolAttr(kb::kAttrP4Supported).value_or(false))
+            p4Only.hardware[HardwareClass::Switch].candidateModels.push_back(
+                h->model);
+    p4Only.pinnedSystems["Sonata"] = true; // P4 stages contended
+    for (const reason::Problem* p : {&budget, &p4Only}) {
+        const auto design = reason::Engine(*p).optimize();
+        ASSERT_TRUE(design.has_value());
+        EXPECT_TRUE(reason::validateDesign(*p, *design).empty());
+    }
+    // PFC cannot run where frames flood: the right answer is no design.
+    reason::Problem roce = caseStudy();
+    roce.optionalCategories.insert(Category::TransportProtocol);
+    roce.pinnedFacts[catalog::kFactFlooding] = true;
+    roce.pinnedSystems["RoCEv2"] = true;
+    EXPECT_FALSE(reason::Engine(roce).checkFeasible().feasible);
 }
 
 TEST_F(LlmSimTest, GreedyIgnoresBudgets) {

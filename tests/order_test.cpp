@@ -209,8 +209,9 @@ TEST_F(Figure1Test, ShenangoDemikernelIsolationGapPreserved) {
     const PreferenceGraph graph(kb_, kb::kObjIsolation);
     const Context ctx = contextWith(100, true);
     EXPECT_TRUE(graph.incomparable("Shenango", "Demikernel", ctx));
-    // But Snap > Shenango is known.
+    // But Snap > Shenango and Linux > Shenango are known.
     EXPECT_TRUE(graph.strictlyBetter("Snap", "Shenango", ctx));
+    EXPECT_TRUE(graph.strictlyBetter("Linux", "Shenango", ctx));
 }
 
 TEST_F(Figure1Test, PonyCostsAppModification) {
@@ -218,6 +219,9 @@ TEST_F(Figure1Test, PonyCostsAppModification) {
     EXPECT_TRUE(
         graph.strictlyBetter("Linux", "Snap", contextWith(100, true)));
     EXPECT_FALSE(graph.betterThan("Linux", "Snap", contextWith(100, false)));
+    // Demikernel's new libOS API costs modification whatever the context.
+    EXPECT_TRUE(
+        graph.strictlyBetter("Linux", "Demikernel", contextWith(100, true)));
 }
 
 TEST_F(Figure1Test, ListingTwoMonitoringOrderings) {

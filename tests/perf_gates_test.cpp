@@ -9,7 +9,11 @@
 //   * SES1 — over the production routes, a session ask pinning one system
 //     is >= 10x faster (median) than the equivalent stateless /v1/query,
 //     both paths agree on every verdict, and the warm total stays below the
-//     cold total.
+//     cold total;
+//   * SVC2 — under 4x oversubscription, a bounded queue sheds excess
+//     queries (answered + shed covers the burst) and keeps the answered
+//     queries' p99 at or below the unbounded queue's, while the flight
+//     recorder stays bounded.
 //
 // Registered with RUN_SERIAL (tests/CMakeLists.txt) so that other tests
 // running under `ctest -j` cannot skew the timings.
@@ -220,4 +224,82 @@ TEST(PerfGates, SessionAskIsTenTimesFasterThanStatelessQuery) {
     EXPECT_GE(speedup, 10.0);
     EXPECT_LT(std::accumulate(warmMs.begin(), warmMs.end(), 0.0),
               std::accumulate(coldMs.begin(), coldMs.end(), 0.0));
+}
+
+TEST(PerfGates, OverloadSheddingBoundsTheLatencyTail) {
+    // A burst 4x larger than a 2-worker pool can absorb, thrown at a fresh
+    // service twice: with an unbounded queue, then with RejectNew at depth 4.
+    constexpr unsigned kWorkers = 2;
+    constexpr std::size_t kQueueDepth = 2 * kWorkers;
+    constexpr int kBurst = static_cast<int>(kWorkers) * 4 * 6;
+    constexpr std::size_t kRecorderCap = 16; // < kBurst: forces eviction
+    const kb::KnowledgeBase kb = catalog::buildKnowledgeBase();
+    std::vector<reason::QueryRequest> burst;
+    for (int i = 0; i < kBurst; ++i) {
+        reason::QueryRequest q;
+        q.problem = reason::makeDefaultProblem(kb);
+        q.problem.hardware[kb::HardwareClass::Server].count = 60;
+        q.problem.hardware[kb::HardwareClass::Switch].count = 8;
+        q.problem.hardware[kb::HardwareClass::Nic].count = 60;
+        q.problem.workloads = {catalog::makeInferenceWorkload()};
+        q.problem.objectivePriority = {kb::kObjLatency, kb::kObjHardwareCost};
+        q.kind = i % 3 == 0 ? reason::QueryKind::Optimize
+                            : reason::QueryKind::Feasibility;
+        q.id = std::to_string(i);
+        burst.push_back(std::move(q));
+    }
+
+    struct Run {
+        std::vector<double> latenciesMs; ///< answered, queue wait included
+        int answered = 0;
+        int shed = 0;
+        std::size_t recorderSize = 0;
+        std::size_t recorderShed = 0; ///< shed traces the recorder retained
+    };
+    const auto run = [&burst](std::size_t maxQueueDepth) {
+        reason::ServiceOptions options;
+        options.workers = kWorkers;
+        options.maxQueueDepth = maxQueueDepth;
+        options.shedPolicy = reason::ShedPolicy::RejectNew;
+        options.flightRecorderCapacity = kRecorderCap;
+        reason::Service service(options);
+        // Pre-warm the compilation cache so both runs measure queueing and
+        // solving, not one first-query compile.
+        (void)service.compilationFor(burst.front().problem);
+        Run r;
+        for (const reason::QueryResult& result : service.runBatch(burst)) {
+            if (result.verdict == reason::Verdict::Shed) {
+                ++r.shed;
+            } else if (result.verdict != reason::Verdict::Error) {
+                ++r.answered;
+                r.latenciesMs.push_back(result.trace.queueWaitMs +
+                                        result.trace.totalMs);
+            }
+        }
+        r.recorderSize = service.flightRecorder().size();
+        r.recorderShed = service.flightRecorder()
+                             .traces(0, 0.0, reason::Verdict::Shed)
+                             .size();
+        return r;
+    };
+    const Run unbounded = run(0);
+    const Run bounded = run(kQueueDepth);
+
+    // Nothing vanishes or fails: the unbounded queue answers everything,
+    // the bounded one answers or sheds every query, and shedding engages.
+    ASSERT_EQ(unbounded.answered, kBurst);
+    EXPECT_EQ(bounded.answered + bounded.shed, kBurst);
+    EXPECT_GT(bounded.shed, 0);
+    ASSERT_GT(bounded.answered, 0);
+    // Bounding the queue bounds the tail.
+    const double p99Unbounded = percentile(unbounded.latenciesMs, 0.99);
+    const double p99Bounded = percentile(bounded.latenciesMs, 0.99);
+    RecordProperty("p99_unbounded_us", static_cast<int>(p99Unbounded * 1000));
+    RecordProperty("p99_bounded_us", static_cast<int>(p99Bounded * 1000));
+    EXPECT_LE(p99Bounded, p99Unbounded);
+    // The flight recorder rode through both bursts bounded, and failures are
+    // pinned rather than sampled away: it still holds shed traces.
+    EXPECT_LE(unbounded.recorderSize, kRecorderCap);
+    EXPECT_LE(bounded.recorderSize, kRecorderCap);
+    EXPECT_GT(bounded.recorderShed, 0u);
 }

@@ -259,17 +259,49 @@ TEST_F(DeploymentRulesTest, MissingCapabilityDetected) {
 TEST_F(DeploymentRulesTest, AgreesWithValidatorOnPredicateRules) {
     // Property: on engine-produced designs and single-system corruptions,
     // the Datalog check and the native validator agree about predicate-level
-    // compliance (the Datalog side does not model quantities/budgets, so we
-    // restrict to corruptions of requirement/conflict/capability kind).
+    // compliance (the Datalog side does not model quantities/budgets, so the
+    // validator's verdict is restricted to requirement/conflict/capability/
+    // research-grade violations).
     const reason::Problem p = caseStudy();
     reason::Engine engine(p);
-    const auto designs = engine.enumerateDesigns(4);
-    ASSERT_FALSE(designs.empty());
-    for (const reason::Design& good : designs) {
+    std::vector<reason::Design> corpus = engine.enumerateDesigns(4);
+    ASSERT_FALSE(corpus.empty());
+    for (const reason::Design& good : corpus) {
         const DatalogCheck check = checkDesignWithRules(p, good);
         const auto violations = reason::validateDesign(p, good);
         EXPECT_EQ(check.compliant, violations.empty());
     }
+    // One corruption per chosen category of each design: swap in the first
+    // other system of that category.
+    const std::size_t goodCount = corpus.size();
+    for (std::size_t i = 0; i < goodCount; ++i) {
+        const reason::Design good = corpus[i]; // push_back may reallocate
+        for (const auto& [category, name] : good.chosen) {
+            for (const kb::System* s : kb_->byCategory(category)) {
+                if (s->name == name) continue;
+                reason::Design corrupted = good;
+                corrupted.chosen[category] = s->name;
+                corpus.push_back(std::move(corrupted));
+                break;
+            }
+        }
+    }
+    ASSERT_GT(corpus.size(), goodCount);
+    for (const reason::Design& design : corpus) {
+        const auto violations = reason::validateDesign(p, design);
+        const bool predicateViolation = std::any_of(
+            violations.begin(), violations.end(), [](const std::string& v) {
+                return v.find("requirement of") != std::string::npos ||
+                       v.find("conflicts with") != std::string::npos ||
+                       v.find("solves") != std::string::npos ||
+                       v.find("research-grade") != std::string::npos;
+            });
+        EXPECT_EQ(checkDesignWithRules(p, design).compliant,
+                  !predicateViolation)
+            << design.toString();
+    }
+    // Forward chaining only checks; finding a design takes the SAT search.
+    EXPECT_TRUE(engine.optimize().has_value());
 }
 
 } // namespace

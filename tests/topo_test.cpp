@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
+#include <regex>
 #include <set>
 
+#include "doc_section.hpp"
 #include "topo/loadbalance.hpp"
 #include "topo/pfc.hpp"
 #include "util/error.hpp"
@@ -98,6 +102,8 @@ TEST(Routing, FloodingIncludesDownUpTurns) {
 
 // --- PFC deadlock: the §2.2 Microsoft story -----------------------------------
 
+// At every k the §3.4 expert rule ("PFC cannot be used with any flooding
+// algorithm") must reach the graph analysis' verdict.
 class PfcSweepTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(PfcSweepTest, UpDownRoutingIsDeadlockFree) {
@@ -105,6 +111,7 @@ TEST_P(PfcSweepTest, UpDownRoutingIsDeadlockFree) {
         analyzePfcDeadlock(GetParam(), /*routePairs=*/300,
                            /*floodingEnabled=*/false, /*seed=*/7);
     EXPECT_FALSE(analysis.deadlockPossible) << "k=" << GetParam();
+    EXPECT_EQ(analysis.deadlockPossible, pfcExpertRuleUnsafe(true, false));
     EXPECT_GT(analysis.dependencies, 0u);
 }
 
@@ -113,10 +120,11 @@ TEST_P(PfcSweepTest, FloodingIntroducesDeadlockCycle) {
         analyzePfcDeadlock(GetParam(), /*routePairs=*/300,
                            /*floodingEnabled=*/true, /*seed=*/7);
     EXPECT_TRUE(analysis.deadlockPossible) << "k=" << GetParam();
+    EXPECT_EQ(analysis.deadlockPossible, pfcExpertRuleUnsafe(true, true));
     EXPECT_GE(analysis.cycle.size(), 2u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Ks, PfcSweepTest, ::testing::Values(4, 6, 8),
+INSTANTIATE_TEST_SUITE_P(Ks, PfcSweepTest, ::testing::Values(4, 6, 8, 16),
                          [](const ::testing::TestParamInfo<int>& info) {
                              return "k" + std::to_string(info.param);
                          });
@@ -187,14 +195,42 @@ TEST(LoadBalance, SprayingConservesTraffic) {
 }
 
 TEST(LoadBalance, EcmpImbalanceExceedsSpraying) {
-    const FatTree t(8);
-    util::Rng rng(7);
-    const auto flows = randomTrafficMatrix(t, 600, rng);
-    const LoadReport ecmp = simulateEcmp(t, flows);
-    const LoadReport spray = simulateSpraying(t, flows);
-    EXPECT_GT(ecmp.imbalance(), spray.imbalance());
-    // Spraying is close to uniform across the symmetric fabric.
-    EXPECT_LT(spray.imbalance(), 4.0);
+    // EXPERIMENTS.md SEC23b: one row per fat-tree, peak/mean link load to
+    // two decimals.
+    const std::string section = test::docSection(LAR_EXPERIMENTS_MD, "SEC23b");
+    const std::regex row(
+        R"(\| k=(\d+) \| (\d+) \| ([\d.]+) \| ([\d.]+) \| ([\d.]+)× \|)");
+    std::map<int, std::smatch> documented;
+    for (auto it = std::sregex_iterator(section.begin(), section.end(), row);
+         it != std::sregex_iterator(); ++it)
+        documented[std::stoi((*it)[1])] = *it;
+
+    const auto twoDecimals = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%.2f", v);
+        return std::string(buf);
+    };
+    for (const int k : {4, 8, 16}) {
+        SCOPED_TRACE("k=" + std::to_string(k));
+        const FatTree t(k);
+        util::Rng rng(2024);
+        const int flowCount = static_cast<int>(t.hosts().size()) * 4;
+        const auto flows = randomTrafficMatrix(t, flowCount, rng);
+        const LoadReport ecmp = simulateEcmp(t, flows);
+        const LoadReport spray = simulateSpraying(t, flows);
+        // Hash collisions of heavy flows make ECMP meaningfully worse.
+        EXPECT_GE(ecmp.imbalance(), spray.imbalance() * 1.2);
+        // Spraying is close to uniform across the symmetric fabric.
+        EXPECT_LT(spray.imbalance(), 4.0);
+
+        ASSERT_TRUE(documented.count(k));
+        const std::smatch& m = documented.at(k);
+        EXPECT_EQ(std::stoi(m[2]), flowCount);
+        EXPECT_EQ(m[3].str(), twoDecimals(ecmp.imbalance()));
+        EXPECT_EQ(m[4].str(), twoDecimals(spray.imbalance()));
+        EXPECT_EQ(m[5].str(),
+                  twoDecimals(ecmp.imbalance() / spray.imbalance()));
+    }
 }
 
 TEST(LoadBalance, SingleFlowSprayUsesAllPaths) {

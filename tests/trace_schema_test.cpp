@@ -3,7 +3,8 @@
 // and fails when a top-level key has no row in the §9 table, or when the
 // section — or README.md — states a schema version other than
 // kQueryTraceSchemaVersion. It also runs queries down every way a backend
-// gets built and fails when §9 does not name a span they emit.
+// gets built and fails when §9 does not name a span they emit. Beside it,
+// BenchDoc fails when a document names a bench binary that is not built.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +13,7 @@
 #include <string>
 
 #include "catalog/catalog.hpp"
+#include "doc_section.hpp"
 #include "obs/span.hpp"
 #include "reason/engine.hpp"
 #include "reason/trace.hpp"
@@ -21,14 +23,7 @@ namespace lar::reason {
 namespace {
 
 /// The text of DESIGN.md from "## 9." up to the next "## " heading.
-std::string section9() {
-    const std::string doc = util::readFile(LAR_DESIGN_MD);
-    const std::size_t begin = doc.find("\n## 9. ");
-    EXPECT_NE(begin, std::string::npos) << "DESIGN.md has no section 9";
-    if (begin == std::string::npos) return "";
-    const std::size_t end = doc.find("\n## ", begin + 1);
-    return doc.substr(begin, end == std::string::npos ? end : end - begin);
-}
+std::string section9() { return test::docSection(LAR_DESIGN_MD, "9."); }
 
 /// A trace with every optional top-level block populated.
 QueryTrace fullTrace() {
@@ -127,6 +122,24 @@ TEST(TraceSchemaDoc, ReadmeNamesTheEmittedVersion) {
         EXPECT_EQ(std::stoi((*it)[1]), kQueryTraceSchemaVersion)
             << "README.md: " << (*it)[0];
     EXPECT_GE(mentions, 1) << "README.md no longer names the trace schema";
+}
+
+TEST(BenchDoc, EveryNamedBenchIsBuilt) {
+    // Each bench_* name in the docs needs a lar_add_bench line in
+    // bench/CMakeLists.txt. The leading context excludes names such as
+    // perfbench_driver and .bench_build/, which are not benches.
+    const std::string cmake = util::readFile(LAR_BENCH_CMAKELISTS);
+    const std::regex name(R"((?:^|[^A-Za-z0-9_.])(bench_[a-z0-9_]+))");
+    for (const char* path : {LAR_README_MD, LAR_DESIGN_MD, LAR_EXPERIMENTS_MD,
+                             LAR_VERIFY_SKILL_MD}) {
+        const std::string doc = util::readFile(path);
+        for (auto it = std::sregex_iterator(doc.begin(), doc.end(), name);
+             it != std::sregex_iterator(); ++it)
+            EXPECT_NE(cmake.find("lar_add_bench(" + (*it)[1].str() + " "),
+                      std::string::npos)
+                << path << " names " << (*it)[1]
+                << ", which bench/CMakeLists.txt does not build";
+    }
 }
 
 } // namespace
