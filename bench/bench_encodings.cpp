@@ -1,10 +1,8 @@
-// ABL3 — encoding ablation (google-benchmark): sequential counter vs
-// totalizer for at-most-k, and flat vs exclusivity-grouped generalized
-// totalizers for weighted sums (the structure that keeps the budget and
-// hardware-cost encodings linear; see DESIGN.md §6).
+// ABL3 — encoding ablation (google-benchmark): flat vs exclusivity-grouped
+// generalized totalizers for weighted sums (the structure that keeps the
+// budget and hardware-cost encodings linear; see DESIGN.md §6).
 #include <benchmark/benchmark.h>
 
-#include "encode/cardinality.hpp"
 #include "encode/pb.hpp"
 #include "util/rng.hpp"
 
@@ -17,53 +15,6 @@ std::vector<sat::Lit> freshLits(encode::CnfBuilder& b, int n) {
     lits.reserve(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) lits.push_back(b.newLit());
     return lits;
-}
-
-void BM_AtMostK_Encode(benchmark::State& state) {
-    const auto encoding = static_cast<encode::CardinalityEncoding>(state.range(0));
-    const int n = static_cast<int>(state.range(1));
-    const int k = n / 4;
-    std::size_t clauses = 0;
-    for (auto _ : state) {
-        sat::Solver solver;
-        encode::CnfBuilder builder(solver);
-        const auto lits = freshLits(builder, n);
-        encode::addAtMost(builder, lits, k, encoding);
-        clauses = solver.numClauses();
-        benchmark::DoNotOptimize(clauses);
-    }
-    state.SetLabel(encoding == encode::CardinalityEncoding::SequentialCounter
-                       ? "sequential"
-                       : "totalizer");
-    state.counters["clauses"] = static_cast<double>(clauses);
-}
-
-void BM_AtMostK_Solve(benchmark::State& state) {
-    // Force exactly k+? true among n with random hard clauses; measure the
-    // propagation strength of the encodings under search.
-    const auto encoding = static_cast<encode::CardinalityEncoding>(state.range(0));
-    const int n = static_cast<int>(state.range(1));
-    const int k = n / 4;
-    std::uint64_t round = 0;
-    for (auto _ : state) {
-        util::Rng rng(900 + round++);
-        sat::Solver solver;
-        encode::CnfBuilder builder(solver);
-        const auto lits = freshLits(builder, n);
-        encode::addAtMost(builder, lits, k, encoding);
-        // Sparse positive 2-clauses push literals true and stress the bound
-        // (kept at n/3 clauses so instances stay easy-satisfiable; denser
-        // mixes turn into hard vertex-cover instances).
-        for (int i = 0; i < n / 3; ++i) {
-            const auto a = lits[rng.below(lits.size())];
-            const auto b = lits[rng.below(lits.size())];
-            solver.addClause(a, b);
-        }
-        benchmark::DoNotOptimize(solver.solve());
-    }
-    state.SetLabel(encoding == encode::CardinalityEncoding::SequentialCounter
-                       ? "sequential"
-                       : "totalizer");
 }
 
 void BM_PbSum_FlatVsGrouped(benchmark::State& state) {
@@ -80,13 +31,16 @@ void BM_PbSum_FlatVsGrouped(benchmark::State& state) {
         std::vector<encode::PbTerm> flat;
         for (int cls = 0; cls < 3; ++cls) {
             std::vector<sat::Lit> sel = freshLits(builder, modelsPerClass);
-            encode::addExactly(builder, sel, 1);
+            builder.addClause(sel); // at least one model per class ...
             std::vector<encode::PbTerm> group;
+            std::vector<encode::PbTerm> unit;
             for (const sat::Lit l : sel) {
                 const auto w = static_cast<std::int64_t>(20 + rng.below(300));
                 group.push_back({w, l});
                 flat.push_back({w, l});
+                unit.push_back({1, l});
             }
+            encode::addPbAtMost(builder, unit, 1); // ... and at most one
             groups.push_back(std::move(group));
         }
         const std::int64_t clamp = 800;
@@ -107,14 +61,6 @@ void BM_PbSum_FlatVsGrouped(benchmark::State& state) {
 
 } // namespace
 
-BENCHMARK(BM_AtMostK_Encode)
-    ->ArgsProduct({{0, 1}, {32, 128, 512}})
-    ->Unit(benchmark::kMicrosecond)
-    ->MinTime(0.05);
-BENCHMARK(BM_AtMostK_Solve)
-    ->ArgsProduct({{0, 1}, {32, 64}})
-    ->Unit(benchmark::kMicrosecond)
-    ->MinTime(0.05);
 BENCHMARK(BM_PbSum_FlatVsGrouped)
     ->ArgsProduct({{0, 1}, {4, 8}})
     ->Unit(benchmark::kMillisecond)

@@ -254,7 +254,7 @@ run_obs() {
 
 run_chaos() {
     # The network chaos layer end to end: the FaultInjector primitives, the
-    # chaos suite (retry/backoff/hedging against armed net.* sites, the
+    # chaos suite (retry/backoff against armed net.* sites, the
     # re-dial deadline regression, Retry-After on shed, the fleet survival
     # gate), the slow-client hardening cases from the server suite, then
     # the full bench_chaos availability gate. bench_chaos exits nonzero on

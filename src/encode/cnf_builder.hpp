@@ -1,7 +1,7 @@
 // Tseitin-style circuit-to-CNF construction over a sat::Solver.
 //
-// All higher-level encodings (cardinality, pseudo-Boolean, integers, the
-// reasoning layer's requirement formulas) funnel through this builder. Gate
+// All higher-level encodings (pseudo-Boolean sums, the reasoning layer's
+// requirement formulas) funnel through this builder. Gate
 // outputs are fresh literals constrained to be *equivalent* to their gate
 // function, so they can be used in both polarities.
 #pragma once

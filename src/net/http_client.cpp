@@ -7,12 +7,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
-#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 #include <thread>
 
 #include "net/fault.hpp"
@@ -34,8 +31,6 @@ struct ClientMetrics {
     obs::Counter& retries;
     obs::Counter& redials;
     obs::Counter& shedWaits;
-    obs::Counter& hedges;
-    obs::Counter& hedgeWins;
     obs::Counter& deadlineTimeouts;
 
     static ClientMetrics& get() {
@@ -49,12 +44,6 @@ struct ClientMetrics {
             obs::Registry::global().counter(
                 "lar_net_client_shed_waits_total",
                 "429/503 responses waited out (Retry-After or backoff)"),
-            obs::Registry::global().counter(
-                "lar_net_client_hedges_total",
-                "hedged GET attempts launched"),
-            obs::Registry::global().counter(
-                "lar_net_client_hedge_wins_total",
-                "hedged GETs where the hedge produced the winning response"),
             obs::Registry::global().counter(
                 "lar_net_client_deadline_timeouts_total",
                 "requests abandoned at their end-to-end deadline"),
@@ -102,14 +91,6 @@ std::string_view trimView(std::string_view s) {
         s.remove_suffix(1);
     }
     return s;
-}
-
-void closeConn(int& fd, std::string& leftover) {
-    if (fd >= 0) {
-        ::close(fd);
-        fd = -1;
-    }
-    leftover.clear();
 }
 
 /// Retry-After delta-seconds (the only form larserved emits); nullopt for
@@ -165,7 +146,13 @@ HttpClient::HttpClient(std::string host, std::uint16_t port, int timeoutMs)
 
 HttpClient::~HttpClient() { disconnect(); }
 
-void HttpClient::disconnect() { closeConn(conn_.fd, conn_.leftover); }
+void HttpClient::disconnect() {
+    if (fd_ >= 0) {
+        ::close(fd_);
+        fd_ = -1;
+    }
+    leftover_.clear();
+}
 
 void HttpClient::setHeader(std::string_view name, std::string_view value) {
     for (auto it = defaultHeaders_.begin(); it != defaultHeaders_.end(); ++it) {
@@ -186,14 +173,12 @@ void HttpClient::setRetryOptions(const RetryOptions& options) {
             "RetryOptions: maxAttempts must be at least 1");
     expects(options.baseBackoffMs >= 0 && options.maxBackoffMs >= 0,
             "RetryOptions: backoff must be non-negative");
-    expects(options.hedgeDelayMs >= 0,
-            "RetryOptions: hedgeDelayMs must be non-negative");
     retry_ = options;
     jitterState_ = options.seed;
 }
 
-void HttpClient::dial(Conn& conn, Clock::time_point deadline) {
-    closeConn(conn.fd, conn.leftover);
+void HttpClient::dial(Clock::time_point deadline) {
+    disconnect();
     if (remainingMs(deadline) <= 0) throwTimeout("connect " + host_);
     if (faultFires(kSiteConnect)) {
         errno = ECONNREFUSED;
@@ -226,14 +211,14 @@ void HttpClient::dial(Conn& conn, Clock::time_point deadline) {
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
         if (::connect(fd, ai->ai_addr, ai->ai_addrlen) == 0) {
-            conn.fd = fd;
+            fd_ = fd;
             break;
         }
         lastErrno = errno;
         ::close(fd);
     }
     ::freeaddrinfo(result);
-    if (conn.fd < 0) {
+    if (fd_ < 0) {
         if ((lastErrno == EINPROGRESS || lastErrno == EAGAIN ||
              lastErrno == EWOULDBLOCK) &&
             remainingMs(deadline) <= 0) {
@@ -244,15 +229,14 @@ void HttpClient::dial(Conn& conn, Clock::time_point deadline) {
     }
 }
 
-bool HttpClient::sendOn(Conn& conn, std::string_view data,
-                        Clock::time_point deadline) {
+bool HttpClient::sendAll(std::string_view data, Clock::time_point deadline) {
     std::size_t off = 0;
     while (off < data.size()) {
-        if (!armSocketDeadline(conn.fd, deadline)) {
-            closeConn(conn.fd, conn.leftover);
+        if (!armSocketDeadline(fd_, deadline)) {
+            disconnect();
             throwTimeout("send " + host_);
         }
-        const ssize_t n = ::send(conn.fd, data.data() + off, data.size() - off,
+        const ssize_t n = ::send(fd_, data.data() + off, data.size() - off,
                                  MSG_NOSIGNAL);
         if (n > 0) {
             off += static_cast<std::size_t>(n);
@@ -260,7 +244,7 @@ bool HttpClient::sendOn(Conn& conn, std::string_view data,
         }
         if (n < 0 && errno == EINTR) continue;
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            closeConn(conn.fd, conn.leftover);
+            disconnect();
             throwTimeout("send " + host_);
         }
         return false;
@@ -268,11 +252,11 @@ bool HttpClient::sendOn(Conn& conn, std::string_view data,
     return true;
 }
 
-ClientResponse HttpClient::receiveOn(Conn& conn, Clock::time_point deadline,
-                                     std::size_t& received) {
+ClientResponse HttpClient::receive(Clock::time_point deadline,
+                                   std::size_t& received) {
     ClientResponse response;
-    std::string buf = std::move(conn.leftover);
-    conn.leftover.clear();
+    std::string buf = std::move(leftover_);
+    leftover_.clear();
     received = buf.size();
 
     // One bounded recv; appends to buf and bumps `received`, returns false
@@ -280,11 +264,11 @@ ClientResponse HttpClient::receiveOn(Conn& conn, Clock::time_point deadline,
     const auto recvSome = [&](const char* what) -> bool {
         char chunk[16384];
         while (true) {
-            if (!armSocketDeadline(conn.fd, deadline)) {
-                closeConn(conn.fd, conn.leftover);
+            if (!armSocketDeadline(fd_, deadline)) {
+                disconnect();
                 throwTimeout(std::string(what) + " " + host_);
             }
-            const ssize_t n = ::recv(conn.fd, chunk, sizeof chunk, 0);
+            const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
             if (n > 0) {
                 buf.append(chunk, static_cast<std::size_t>(n));
                 received += static_cast<std::size_t>(n);
@@ -292,7 +276,7 @@ ClientResponse HttpClient::receiveOn(Conn& conn, Clock::time_point deadline,
             }
             if (n < 0 && errno == EINTR) continue;
             if (n == 0) return false;
-            closeConn(conn.fd, conn.leftover);
+            disconnect();
             if (errno == EAGAIN || errno == EWOULDBLOCK) {
                 throwTimeout(std::string(what) + " " + host_);
             }
@@ -306,11 +290,11 @@ ClientResponse HttpClient::receiveOn(Conn& conn, Clock::time_point deadline,
         headerEnd = buf.find("\r\n\r\n");
         if (headerEnd != std::string::npos) break;
         if (buf.size() > kMaxResponseHeaderBytes) {
-            closeConn(conn.fd, conn.leftover);
+            disconnect();
             throw Error("response header block too large");
         }
         if (!recvSome("recv")) {
-            closeConn(conn.fd, conn.leftover);
+            disconnect();
             throw Error("connection closed mid-response");
         }
     }
@@ -320,13 +304,13 @@ ClientResponse HttpClient::receiveOn(Conn& conn, Clock::time_point deadline,
     if (lineEnd == std::string_view::npos) lineEnd = head.size();
     const std::string_view statusLine = head.substr(0, lineEnd);
     if (statusLine.size() < 12 || statusLine.substr(0, 5) != "HTTP/") {
-        closeConn(conn.fd, conn.leftover);
+        disconnect();
         throw Error("malformed status line: " + std::string(statusLine));
     }
     response.status = (statusLine[9] - '0') * 100 + (statusLine[10] - '0') * 10 +
                       (statusLine[11] - '0');
     if (response.status < 100 || response.status > 599) {
-        closeConn(conn.fd, conn.leftover);
+        disconnect();
         throw Error("malformed status code: " + std::string(statusLine));
     }
 
@@ -346,7 +330,7 @@ ClientResponse HttpClient::receiveOn(Conn& conn, Clock::time_point deadline,
 
     const auto recvMore = [&](const char* what) {
         if (!recvSome(what)) {
-            closeConn(conn.fd, conn.leftover);
+            disconnect();
             throw Error(std::string(what) + ": connection closed");
         }
     };
@@ -371,7 +355,7 @@ ClientResponse HttpClient::receiveOn(Conn& conn, Clock::time_point deadline,
             const unsigned long long size =
                 std::strtoull(sizeText.c_str(), &end, 16);
             if (end == sizeText.c_str()) {
-                closeConn(conn.fd, conn.leftover);
+                disconnect();
                 throw Error("malformed chunk size: " + sizeText);
             }
             if (size == 0) {
@@ -392,7 +376,7 @@ ClientResponse HttpClient::receiveOn(Conn& conn, Clock::time_point deadline,
             while (buf.size() < nl + 2 + size + 2) recvMore("recv chunk");
             response.body.append(buf, nl + 2, size);
             if (response.body.size() > kMaxResponseBodyBytes) {
-                closeConn(conn.fd, conn.leftover);
+                disconnect();
                 throw Error("response body too large");
             }
             buf.erase(0, nl + 2 + size + 2);
@@ -402,7 +386,7 @@ ClientResponse HttpClient::receiveOn(Conn& conn, Clock::time_point deadline,
         const unsigned long long length = std::strtoull(cl->c_str(), &end, 10);
         if (end == cl->c_str() || *end != '\0' ||
             length > kMaxResponseBodyBytes) {
-            closeConn(conn.fd, conn.leftover);
+            disconnect();
             throw Error("malformed Content-Length: " + *cl);
         }
         while (buf.size() < length) recvMore("recv body");
@@ -412,7 +396,7 @@ ClientResponse HttpClient::receiveOn(Conn& conn, Clock::time_point deadline,
         // Read-to-EOF body.
         while (true) {
             if (buf.size() > kMaxResponseBodyBytes) {
-                closeConn(conn.fd, conn.leftover);
+                disconnect();
                 throw Error("response body too large");
             }
             if (!recvSome("recv body")) break;
@@ -423,9 +407,9 @@ ClientResponse HttpClient::receiveOn(Conn& conn, Clock::time_point deadline,
     // else: no framing headers and keep-alive — bodiless response.
 
     if (closeAfter) {
-        closeConn(conn.fd, conn.leftover);
+        disconnect();
     } else {
-        conn.leftover = std::move(buf);
+        leftover_ = std::move(buf);
     }
     return response;
 }
@@ -435,12 +419,12 @@ ClientResponse HttpClient::attemptOnce(const std::string& request,
                                        bool idempotent, bool& sentAny) {
     bool redialed = false;
     while (true) {
-        const bool fresh = conn_.fd < 0;
-        if (fresh) dial(conn_, deadline);
-        if (!sendOn(conn_, request, deadline)) {
+        const bool fresh = fd_ < 0;
+        if (fresh) dial(deadline);
+        if (!sendAll(request, deadline)) {
             // Stale keep-alive socket (server closed between requests): the
             // request never ran, so one transparent re-dial is always safe.
-            closeConn(conn_.fd, conn_.leftover);
+            disconnect();
             if (fresh || redialed) throwErrno("send " + host_);
             redialed = true;
             ++stats_.redials;
@@ -450,7 +434,7 @@ ClientResponse HttpClient::attemptOnce(const std::string& request,
         sentAny = true;
         std::size_t received = 0;
         try {
-            return receiveOn(conn_, deadline, received);
+            return receive(deadline, received);
         } catch (const TimeoutError&) {
             throw;
         } catch (const Error&) {
@@ -468,150 +452,6 @@ ClientResponse HttpClient::attemptOnce(const std::string& request,
             throw;
         }
     }
-}
-
-ClientResponse HttpClient::hedgedAttempt(const std::string& request,
-                                         Clock::time_point deadline) {
-    struct Slot {
-        HttpClient::Conn conn;
-        std::atomic<int> fd{-1}; ///< published for cross-thread shutdown
-        int redials = 0;
-        bool finished = false; ///< under mu
-        bool ok = false;       ///< under mu
-    };
-    struct Shared {
-        std::mutex mu;
-        std::condition_variable cv;
-        int done = 0;
-        int winner = -1;
-        ClientResponse winning;
-        std::exception_ptr firstError;
-        std::atomic<bool> cancelled{false};
-    };
-    Slot slots[2];
-    Shared sh;
-
-    // The primary adopts the kept-alive connection; it is restored (or
-    // replaced by the hedge's) once a winner is known.
-    slots[0].conn = conn_;
-    conn_ = Conn{};
-    slots[0].fd.store(slots[0].conn.fd, std::memory_order_relaxed);
-
-    const auto run = [&](int idx) {
-        Slot& slot = slots[idx];
-        try {
-            ClientResponse r;
-            bool redialed = false;
-            while (true) {
-                if (sh.cancelled.load()) {
-                    throw Error("hedge attempt cancelled");
-                }
-                const bool fresh = slot.conn.fd < 0;
-                if (fresh) {
-                    dial(slot.conn, deadline);
-                    slot.fd.store(slot.conn.fd);
-                    // Publish-then-check pairs with the canceller's
-                    // set-then-read: one side always observes the other, so
-                    // a loser that dialed after the shutdown sweep still
-                    // aborts instead of blocking in recv until the deadline.
-                    if (sh.cancelled.load()) {
-                        throw Error("hedge attempt cancelled");
-                    }
-                }
-                if (!sendOn(slot.conn, request, deadline)) {
-                    closeConn(slot.conn.fd, slot.conn.leftover);
-                    slot.fd.store(-1);
-                    if (fresh || redialed) throwErrno("send " + host_);
-                    redialed = true;
-                    ++slot.redials;
-                    continue;
-                }
-                std::size_t received = 0;
-                try {
-                    r = receiveOn(slot.conn, deadline, received);
-                    break;
-                } catch (const TimeoutError&) {
-                    throw;
-                } catch (const Error&) {
-                    slot.fd.store(-1);
-                    // Hedged requests are GETs: the stale keep-alive EOF
-                    // race re-dials just like the unhedged path.
-                    if (!fresh && !redialed && received == 0 &&
-                        !sh.cancelled.load()) {
-                        redialed = true;
-                        ++slot.redials;
-                        continue;
-                    }
-                    throw;
-                }
-            }
-            const std::lock_guard<std::mutex> lock(sh.mu);
-            slot.finished = true;
-            slot.ok = true;
-            ++sh.done;
-            if (sh.winner < 0) {
-                sh.winner = idx;
-                sh.winning = std::move(r);
-            } else {
-                // Both completed; only the winner's connection is kept.
-                closeConn(slot.conn.fd, slot.conn.leftover);
-                slot.fd.store(-1, std::memory_order_relaxed);
-            }
-            sh.cv.notify_all();
-        } catch (...) {
-            closeConn(slot.conn.fd, slot.conn.leftover);
-            slot.fd.store(-1, std::memory_order_relaxed);
-            const std::lock_guard<std::mutex> lock(sh.mu);
-            slot.finished = true;
-            ++sh.done;
-            if (!sh.firstError) sh.firstError = std::current_exception();
-            sh.cv.notify_all();
-        }
-    };
-
-    std::thread primary(run, 0);
-    std::thread hedge;
-    bool hedgeLaunched = false;
-    {
-        std::unique_lock<std::mutex> lock(sh.mu);
-        const auto hedgeAt =
-            Clock::now() + std::chrono::milliseconds(retry_.hedgeDelayMs);
-        sh.cv.wait_until(lock, std::min(hedgeAt, deadline),
-                         [&] { return sh.done > 0; });
-        if (sh.done == 0 && remainingMs(deadline) > 0) {
-            hedgeLaunched = true;
-            hedge = std::thread(run, 1);
-        }
-        const int launched = hedgeLaunched ? 2 : 1;
-        sh.cv.wait(lock,
-                   [&] { return sh.winner >= 0 || sh.done == launched; });
-        if (sh.winner >= 0 && sh.done < launched) {
-            // Cancel the loser: shutdown unblocks its recv/send; the loser
-            // thread owns the close.
-            sh.cancelled.store(true);
-            const int loserFd = slots[1 - sh.winner].fd.load();
-            if (loserFd >= 0) ::shutdown(loserFd, SHUT_RDWR);
-        }
-    }
-    primary.join();
-    if (hedge.joinable()) hedge.join();
-
-    stats_.redials += slots[0].redials + slots[1].redials;
-    for (int i = slots[0].redials + slots[1].redials; i > 0; --i)
-        ClientMetrics::get().redials.inc();
-    if (hedgeLaunched) {
-        ++stats_.hedges;
-        ClientMetrics::get().hedges.inc();
-    }
-    if (sh.winner < 0) {
-        std::rethrow_exception(sh.firstError);
-    }
-    if (sh.winner == 1) {
-        ++stats_.hedgeWins;
-        ClientMetrics::get().hedgeWins.inc();
-    }
-    conn_ = slots[sh.winner].conn; // keep the winner's connection alive
-    return std::move(sh.winning);
 }
 
 int HttpClient::backoffMs(int attempt) {
@@ -655,7 +495,6 @@ ClientResponse HttpClient::roundTrip(const std::string& method,
     request += body;
 
     const bool idempotent = method == "GET" || method == "DELETE";
-    const bool hedged = method == "GET" && retry_.hedgeDelayMs > 0;
     const auto deadline =
         Clock::now() + std::chrono::milliseconds(timeoutMs_);
 
@@ -671,9 +510,7 @@ ClientResponse HttpClient::roundTrip(const std::string& method,
         bool sentAny = false;
         ClientResponse response;
         try {
-            response = hedged
-                           ? hedgedAttempt(request, deadline)
-                           : attemptOnce(request, deadline, idempotent, sentAny);
+            response = attemptOnce(request, deadline, idempotent, sentAny);
         } catch (const TimeoutError&) {
             throw; // the budget is gone; retrying cannot help
         } catch (const Error&) {
@@ -691,7 +528,7 @@ ClientResponse HttpClient::roundTrip(const std::string& method,
             continue;
         }
         if ((response.status == 429 || response.status == 503) &&
-            retry_.retryOnShed && attempt + 1 < retry_.maxAttempts) {
+            attempt + 1 < retry_.maxAttempts) {
             // Shed by the server before execution — safe to retry for any
             // method. Honor Retry-After when it fits the budget.
             const int after = retryAfterMs(response);

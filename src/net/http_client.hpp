@@ -1,27 +1,24 @@
-// A deadline-budgeted, retrying HTTP/1.1 client for larctl --url, tests,
-// benches — and the future front-line router.
+// A deadline-budgeted, retrying HTTP/1.1 client for larctl --url, tests and
+// benches.
 //
 // One HttpClient owns one keep-alive connection to one host:port and issues
 // requests sequentially. Responses are parsed with the same strictness tier
 // as the server (Content-Length or chunked, bounded header block).
 //
 // Every request runs under one end-to-end deadline (`timeoutMs` at
-// construction): connect, send, receive, transparent re-dials, retry
-// backoff, and hedges all share that single budget — a request can never
-// block longer than its deadline plus scheduling noise, no matter how many
-// attempts it takes. Failures — refused connection, reset, deadline
-// exceeded, malformed response — throw lar::Error (TimeoutError for the
-// deadline). A stale keep-alive connection is transparently re-dialed
-// within the same budget.
+// construction): connect, send, receive, transparent re-dials and retry
+// backoff all share that single budget — a request can never block longer
+// than its deadline plus scheduling noise, no matter how many attempts it
+// takes. Failures — refused connection, reset, deadline exceeded, malformed
+// response — throw lar::Error (TimeoutError for the deadline). A stale
+// keep-alive connection is transparently re-dialed within the same budget.
 //
 // Retries are explicit policy (RetryOptions, default off — one attempt):
 // bounded attempts with exponential backoff and full jitter; 429/503
 // responses are retried honoring Retry-After when the budget allows;
 // transport errors are retried only for idempotent requests or requests
 // whose bytes never reached the wire, so a non-idempotent request can never
-// be executed twice by this client. Optionally, idempotent GETs are hedged:
-// after `hedgeDelayMs` without a response a second connection races the
-// first, first complete response wins and the loser is cancelled.
+// be executed twice by this client.
 //
 // Not thread-safe; give each thread its own client.
 #pragma once
@@ -60,28 +57,21 @@ struct ClientResponse {
     [[nodiscard]] const std::string* header(std::string_view name) const;
 };
 
-/// Bounded retry/hedging policy, applied per request. Mirrors the semantics
-/// of reason::RetryPolicy one layer down: a fixed attempt budget, retries
+/// Bounded retry policy, applied per request. Mirrors the semantics of
+/// reason::RetryPolicy one layer down: a fixed attempt budget, retries
 /// only when they cannot change the answer (idempotent or never-sent), and
 /// deterministic randomness via an explicit seed.
 struct RetryOptions {
     /// Total attempts per request (1 = no retry). Further attempts run only
-    /// while the end-to-end deadline has budget left.
+    /// while the end-to-end deadline has budget left. A 429/503 (the
+    /// server's shed path: not executed, so safe for any method) is retried
+    /// after its Retry-After when present, else after backoff; when that
+    /// wait would overrun the deadline the shed response is returned as-is.
     int maxAttempts = 1;
     /// Exponential backoff with full jitter between attempts: sleep a
     /// uniform draw from [0, min(maxBackoffMs, baseBackoffMs << attempt)].
     int baseBackoffMs = 50;
     int maxBackoffMs = 2'000;
-    /// Retry 429/503 responses (the server's shed path). The wait honors
-    /// the response's Retry-After header when present (else backoff); when
-    /// the wait would overrun the deadline the shed response is returned
-    /// as-is. Safe for any method — a shed response means not executed.
-    bool retryOnShed = true;
-    /// When > 0, hedge idempotent GETs: if no response arrived within this
-    /// many ms, race a second connection with the same request; the first
-    /// complete response wins and the loser is cancelled. Non-idempotent
-    /// requests never hedge. Pick a p99-ish delay.
-    int hedgeDelayMs = 0;
     /// Seed for the jitter stream (deterministic backoff in tests).
     std::uint64_t seed = 0;
 };
@@ -92,15 +82,13 @@ struct ClientStats {
     std::uint64_t retries = 0;    ///< attempts after the first
     std::uint64_t redials = 0;    ///< transparent stale-connection re-dials
     std::uint64_t shedWaits = 0;  ///< 429/503 waits (Retry-After or backoff)
-    std::uint64_t hedges = 0;     ///< hedge attempts launched
-    std::uint64_t hedgeWins = 0;  ///< responses won by the hedge attempt
 };
 
 class HttpClient {
 public:
     /// Does not connect yet; the first request dials. `timeoutMs` is the
     /// END-TO-END deadline of each request (not per syscall): connect +
-    /// send + receive + retries + hedges together.
+    /// send + receive + retries together.
     HttpClient(std::string host, std::uint16_t port, int timeoutMs = 30'000);
     ~HttpClient();
 
@@ -123,7 +111,7 @@ public:
     /// Setting a name again replaces the previous value; "" removes it.
     void setHeader(std::string_view name, std::string_view value);
 
-    /// Replaces the retry/hedging policy for subsequent requests.
+    /// Replaces the retry policy for subsequent requests.
     void setRetryOptions(const RetryOptions& options);
     [[nodiscard]] const RetryOptions& retryOptions() const { return retry_; }
 
@@ -131,12 +119,6 @@ public:
     [[nodiscard]] const ClientStats& stats() const { return stats_; }
 
 private:
-    /// One socket plus the bytes read past its previous response.
-    struct Conn {
-        int fd = -1;
-        std::string leftover;
-    };
-
     ClientResponse roundTrip(const std::string& method, const std::string& path,
                              const std::string& body,
                              const std::string& contentType);
@@ -148,30 +130,25 @@ private:
     ClientResponse attemptOnce(const std::string& request,
                                std::chrono::steady_clock::time_point deadline,
                                bool idempotent, bool& sentAny);
-    /// The hedged variant: primary attempt races a second fresh-socket
-    /// attempt launched after retry_.hedgeDelayMs; first complete response
-    /// wins, the loser is shut down.
-    ClientResponse hedgedAttempt(const std::string& request,
-                                 std::chrono::steady_clock::time_point deadline);
-    /// Dials a fresh socket into `conn` (per-syscall timeouts clamped to the
-    /// remaining budget). Consults the net.connect fault site.
-    void dial(Conn& conn, std::chrono::steady_clock::time_point deadline);
+    /// Dials a fresh socket (per-syscall timeouts clamped to the remaining
+    /// budget). Consults the net.connect fault site.
+    void dial(std::chrono::steady_clock::time_point deadline);
     /// Sends all of `data`; false on transport failure (errno set), throws
     /// TimeoutError once the deadline expires.
-    bool sendOn(Conn& conn, std::string_view data,
-                std::chrono::steady_clock::time_point deadline);
+    bool sendAll(std::string_view data,
+                 std::chrono::steady_clock::time_point deadline);
     /// Receives and parses one response; `received` counts response bytes
     /// seen (0 distinguishes the stale keep-alive EOF race from a
     /// mid-response failure).
-    ClientResponse receiveOn(Conn& conn,
-                             std::chrono::steady_clock::time_point deadline,
-                             std::size_t& received);
+    ClientResponse receive(std::chrono::steady_clock::time_point deadline,
+                           std::size_t& received);
     int backoffMs(int attempt);
 
     std::string host_;
     std::uint16_t port_;
     int timeoutMs_;
-    Conn conn_;
+    int fd_ = -1;
+    std::string leftover_; ///< bytes read past the previous response
     std::vector<HttpHeader> defaultHeaders_; ///< sent with every request
     RetryOptions retry_;
     ClientStats stats_;

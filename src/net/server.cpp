@@ -97,7 +97,6 @@ struct NetMetrics {
     obs::Counter& resets;
     obs::Counter& readProgressTimeouts;
     obs::Counter& writeProgressTimeouts;
-    obs::Counter& lifetimeCloses;
     obs::Counter& faultsInjected;
 
     static NetMetrics& get() {
@@ -114,9 +113,6 @@ struct NetMetrics {
                 "lar_net_write_progress_timeouts_total",
                 "responses abandoned because the peer drained too slowly "
                 "(stalled-reader defense)"),
-            obs::Registry::global().counter(
-                "lar_net_lifetime_closes_total",
-                "connections closed at the max connection lifetime"),
             obs::Registry::global().counter(
                 "lar_net_faults_injected_total",
                 "socket faults fired by armed net.* injection sites"),
@@ -141,7 +137,6 @@ struct Connection {
     bool closeAfterWrite = false;
     bool continueSent = false;
     Clock::time_point lastActivity;
-    Clock::time_point acceptedAt;
     /// Set when a response starts flushing; total-write-time clock for the
     /// stalled-reader kill (write-idle alone is defeated by slow drains).
     Clock::time_point writeStart;
@@ -485,7 +480,6 @@ void HttpServer::Impl::acceptBurst(Loop& loop) {
         conn->fd = fd;
         conn->id = nextConnId.fetch_add(1, std::memory_order_relaxed);
         conn->lastActivity = Clock::now();
-        conn->acceptedAt = conn->lastActivity;
         char ip[INET_ADDRSTRLEN] = {0};
         ::inet_ntop(AF_INET, &addr.sin_addr, ip, sizeof ip);
         conn->peer = std::string(ip) + ":" + std::to_string(ntohs(addr.sin_port));
@@ -881,13 +875,6 @@ void HttpServer::Impl::sweep(Loop& loop) {
         (void)id;
         Connection& conn = *connPtr;
         const double idleMs = msSince(conn.lastActivity, now);
-        if (opts.maxConnLifetimeMs > 0 &&
-            msSince(conn.acceptedAt, now) >=
-                static_cast<double>(opts.maxConnLifetimeMs)) {
-            NetMetrics::get().lifetimeCloses.inc();
-            doomed.push_back(conn.id);
-            continue;
-        }
         if (conn.outPending()) {
             // Total-write-time kill beats the idle check: a reader draining
             // one byte per sweep keeps idleMs near zero forever.

@@ -63,9 +63,6 @@ struct ServerOptions {
     /// time). The write-idle timeout alone is defeated by a reader draining
     /// one byte per second. 0 disables.
     int responseWriteTimeoutMs = 30'000;
-    /// Close any connection older than this regardless of activity (bounds
-    /// resource pins from well-behaved-but-eternal peers). 0 disables.
-    int maxConnLifetimeMs = 0;
     /// While draining: grace before idle keep-alive connections are closed.
     int drainIdleCloseMs = 100;
     /// Accepted-socket cap; past it new connections are closed immediately.

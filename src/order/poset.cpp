@@ -103,38 +103,6 @@ std::optional<std::vector<std::string>> PreferenceGraph::findCycle(
     return std::nullopt;
 }
 
-std::vector<const kb::Ordering*> PreferenceGraph::explainPreference(
-    const std::string& a, const std::string& b, const Context& ctx) const {
-    if (a == b) return {};
-    // BFS with parent-edge tracking to reconstruct one witness path.
-    const auto active = activeEdges(ctx);
-    std::map<std::string, const kb::Ordering*> parentEdge;
-    std::set<std::string> seen{a};
-    std::deque<std::string> queue{a};
-    while (!queue.empty()) {
-        const std::string cur = queue.front();
-        queue.pop_front();
-        for (const kb::Ordering* e : active) {
-            if (e->better != cur || seen.count(e->worse) > 0) continue;
-            parentEdge[e->worse] = e;
-            if (e->worse == b) {
-                std::vector<const kb::Ordering*> chain;
-                std::string node = b;
-                while (node != a) {
-                    const kb::Ordering* edge = parentEdge.at(node);
-                    chain.push_back(edge);
-                    node = edge->better;
-                }
-                std::reverse(chain.begin(), chain.end());
-                return chain;
-            }
-            seen.insert(e->worse);
-            queue.push_back(e->worse);
-        }
-    }
-    return {};
-}
-
 std::vector<std::string> PreferenceGraph::systems() const {
     std::set<std::string> names;
     for (const kb::Ordering& e : edges_) {

@@ -51,12 +51,6 @@ public:
     [[nodiscard]] std::optional<std::vector<std::string>> findCycle(
         const Context& ctx) const;
 
-    /// Why is `a` preferred to `b`? The chain of orderings (with their
-    /// sources and any disputes) forming one active path a → … → b; empty
-    /// when `a` is not transitively better than `b` under `ctx`.
-    [[nodiscard]] std::vector<const kb::Ordering*> explainPreference(
-        const std::string& a, const std::string& b, const Context& ctx) const;
-
     /// All systems mentioned by this objective's orderings.
     [[nodiscard]] std::vector<std::string> systems() const;
 

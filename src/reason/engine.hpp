@@ -89,10 +89,6 @@ public:
 
     [[nodiscard]] const QueryOptions& options() const { return options_; }
     [[nodiscard]] const Compilation& compilation() const { return *compilation_; }
-    /// The compilation as a shareable handle (e.g. to seed another Engine).
-    [[nodiscard]] std::shared_ptr<const Compilation> sharedCompilation() const {
-        return compilation_;
-    }
     [[nodiscard]] const Problem& problem() const {
         return compilation_->problem();
     }

@@ -471,17 +471,14 @@ void Service::solveWithPolicy(const QueryRequest& request,
             result.verdict = deadlineSpent ? Verdict::TimedOut : Verdict::Unknown;
             if (deadlineSpent)
                 return; // the end-to-end budget is spent; no point retrying
-            if (!options_.retry.reseedOnUnknown ||
-                attempt >= options_.retry.maxAttempts)
-                return;
+            if (attempt >= options_.retry.maxAttempts) return;
             effective.seed = deriveSeed(request.options.seed, attempt);
             ++result.retries;
             metrics.retries.inc();
         } catch (const std::exception&) {
             // Graceful degradation: a Z3 query whose backend is unavailable
             // or faults is re-answered by the built-in CDCL stack, once.
-            if (options_.retry.fallbackToCdcl &&
-                effective.backend == smt::BackendKind::Z3 && !fellBack) {
+            if (effective.backend == smt::BackendKind::Z3 && !fellBack) {
                 fellBack = true;
                 result.backendFellBack = true;
                 metrics.fallbacks.inc();

@@ -62,20 +62,18 @@ enum class ShedPolicy {
     DropOldest, ///< drop the longest-queued not-yet-started request instead
 };
 
-/// Bounded retry/degradation policy applied per query by the Service.
+/// Bounded retry policy applied per query by the Service. Apart from it, a
+/// Z3 query whose backend is unavailable or throws is answered once by the
+/// built-in CDCL backend (QueryResult::backendFellBack is set); that
+/// fallback is not a retry attempt.
 struct RetryPolicy {
     /// Total solve attempts per query (1 = no retry). Further attempts run
     /// only when the previous one returned Unknown through a non-deadline
     /// budget — retrying after the end-to-end deadline or a cancellation
-    /// would be pointless.
+    /// would be pointless. Each retry re-solves with a derived (different)
+    /// seed, the portfolio trick: another phase assignment often escapes
+    /// the region that exhausted the budget.
     int maxAttempts = 1;
-    /// Re-solve Unknown verdicts with a derived (different) seed, the
-    /// portfolio trick: another phase assignment often escapes the region
-    /// that exhausted the budget.
-    bool reseedOnUnknown = true;
-    /// When the Z3 backend is unavailable or throws, answer with the
-    /// built-in CDCL backend instead (QueryResult::backendFellBack is set).
-    bool fallbackToCdcl = true;
 };
 
 struct ServiceOptions {

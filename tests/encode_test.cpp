@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <algorithm>
+#include <tuple>
 
-#include "encode/cardinality.hpp"
 #include "encode/cnf_builder.hpp"
-#include "encode/intvar.hpp"
 #include "encode/pb.hpp"
 #include "util/rng.hpp"
 
@@ -145,42 +144,74 @@ TEST(CnfBuilder, IteTruthTable) {
     }
 }
 
-// --- Cardinality: parameterized over encodings and (n, k) -------------------
+// --- Cardinality: unit-weight PbSum, parameterized over (n, k) -------------
 
-using CardParam = std::tuple<CardinalityEncoding, int, int>; // encoding, n, k
+// The two PbSum constructions production bounds a sum with: the flat one
+// (LinLeq's backward counter) and the exclusive-group one (LinLeq's forward
+// counter and the MaxSAT objective; singleton groups here). The case-name
+// prefixes `seq`/`tot` date from when the sweep covered the sequential
+// counter and the totalizer; unit-weight PbSum is the totalizer.
+enum class UnitCounter { Flat, Grouped };
+
+// Asserts Σ lits ≤ bound through a PbSum clamped at bound+1, as production
+// clamps its counters; a negative bound must make the formula unsatisfiable.
+void assertUnitAtMost(CnfBuilder& b, UnitCounter counter,
+                      const std::vector<Lit>& lits, int bound) {
+    std::vector<PbTerm> terms;
+    std::vector<std::vector<PbTerm>> groups;
+    for (const Lit l : lits) {
+        terms.push_back({1, l});
+        groups.push_back({{1, l}});
+    }
+    const std::int64_t clampAt = bound >= 0 ? bound + 1 : kNoClamp;
+    const PbSum sum = counter == UnitCounter::Flat
+                          ? PbSum(b, terms, clampAt)
+                          : PbSum(b, std::span<const std::vector<PbTerm>>(groups),
+                                  clampAt);
+    b.assertLit(sum.atMostLit(b, bound));
+}
+
+// Σ lits ≥ k  ⇔  Σ ¬lits ≤ n − k, as LinLeq compiles its backward direction.
+void assertUnitAtLeast(CnfBuilder& b, UnitCounter counter,
+                       const std::vector<Lit>& lits, int k) {
+    std::vector<Lit> negated;
+    for (const Lit l : lits) negated.push_back(~l);
+    assertUnitAtMost(b, counter, negated, static_cast<int>(lits.size()) - k);
+}
+
+using CardParam = std::tuple<UnitCounter, int, int>; // counter, n, k
 
 class CardinalityTest : public ::testing::TestWithParam<CardParam> {};
 
 TEST_P(CardinalityTest, AtMostExactCount) {
-    const auto [enc, n, k] = GetParam();
+    const auto [counter, n, k] = GetParam();
     Solver s;
     CnfBuilder b(s);
     const auto lits = freshLits(b, n);
-    addAtMost(b, lits, k, enc);
+    assertUnitAtMost(b, counter, lits, k);
     expectModelCount(s, lits, [k = k](const std::vector<bool>& a) {
         return std::count(a.begin(), a.end(), true) <= k;
     });
 }
 
 TEST_P(CardinalityTest, AtLeastExactCount) {
-    const auto [enc, n, k] = GetParam();
-    if (k > n) GTEST_SKIP();
+    const auto [counter, n, k] = GetParam();
     Solver s;
     CnfBuilder b(s);
     const auto lits = freshLits(b, n);
-    addAtLeast(b, lits, k, enc);
+    assertUnitAtLeast(b, counter, lits, k);
     expectModelCount(s, lits, [k = k](const std::vector<bool>& a) {
         return std::count(a.begin(), a.end(), true) >= k;
     });
 }
 
 TEST_P(CardinalityTest, ExactlyExactCount) {
-    const auto [enc, n, k] = GetParam();
-    if (k > n) GTEST_SKIP();
+    const auto [counter, n, k] = GetParam();
     Solver s;
     CnfBuilder b(s);
     const auto lits = freshLits(b, n);
-    addExactly(b, lits, k, enc);
+    assertUnitAtMost(b, counter, lits, k);
+    assertUnitAtLeast(b, counter, lits, k);
     expectModelCount(s, lits, [k = k](const std::vector<bool>& a) {
         return std::count(a.begin(), a.end(), true) == k;
     });
@@ -188,42 +219,31 @@ TEST_P(CardinalityTest, ExactlyExactCount) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CardinalityTest,
-    ::testing::Combine(::testing::Values(CardinalityEncoding::SequentialCounter,
-                                         CardinalityEncoding::Totalizer),
+    ::testing::Combine(::testing::Values(UnitCounter::Flat, UnitCounter::Grouped),
                        ::testing::Values(1, 2, 4, 5, 7), // n
                        ::testing::Values(0, 1, 2, 3, 6)), // k
     [](const ::testing::TestParamInfo<CardParam>& info) {
-        const char* name = std::get<0>(info.param) ==
-                                   CardinalityEncoding::SequentialCounter
-                               ? "seq"
-                               : "tot";
+        const char* name =
+            std::get<0>(info.param) == UnitCounter::Flat ? "seq" : "tot";
         return std::string(name) + "_n" + std::to_string(std::get<1>(info.param)) +
                "_k" + std::to_string(std::get<2>(info.param));
     });
-
-TEST(Cardinality, PairwiseAtMostOne) {
-    Solver s;
-    CnfBuilder b(s);
-    const auto lits = freshLits(b, 5);
-    addAtMostOnePairwise(b, lits);
-    expectModelCount(s, lits, [](const std::vector<bool>& a) {
-        return std::count(a.begin(), a.end(), true) <= 1;
-    });
-}
 
 TEST(Totalizer, OutputsReflectCount) {
     Solver s;
     CnfBuilder b(s);
     const auto lits = freshLits(b, 6);
-    const Totalizer t(b, lits);
-    ASSERT_EQ(t.size(), 6u);
-    // Force exactly 3 inputs true; outputs 0..2 must be true-capable and
-    // asserting ~output(3) must stay satisfiable while ~output(2) must not.
+    std::vector<PbTerm> terms;
+    for (const Lit l : lits) terms.push_back({1, l});
+    const PbSum t(b, terms);
+    ASSERT_EQ(t.outputs().size(), 6u);
+    // Force exactly 3 inputs true; asserting ~output(3) (sum ≥ 4) must stay
+    // satisfiable while ~output(2) (sum ≥ 3) must not.
     for (int i = 0; i < 3; ++i) b.assertLit(lits[static_cast<std::size_t>(i)]);
     for (int i = 3; i < 6; ++i) b.assertLit(~lits[static_cast<std::size_t>(i)]);
-    b.assertLit(~t.output(3)); // at most 3: consistent
+    b.assertLit(~t.outputs()[3]); // at most 3: consistent
     ASSERT_EQ(s.solve(), SolveResult::Sat);
-    b.assertLit(~t.output(2)); // at most 2: contradiction
+    b.assertLit(~t.outputs()[2]); // at most 2: contradiction
     EXPECT_EQ(s.solve(), SolveResult::Unsat);
 }
 
@@ -231,7 +251,9 @@ TEST(Totalizer, AtMostLitBeyondSizeIsTrue) {
     Solver s;
     CnfBuilder b(s);
     const auto lits = freshLits(b, 3);
-    const Totalizer t(b, lits);
+    std::vector<PbTerm> terms;
+    for (const Lit l : lits) terms.push_back({1, l});
+    const PbSum t(b, terms);
     EXPECT_EQ(t.atMostLit(b, 5), b.trueLit());
 }
 
@@ -323,84 +345,45 @@ TEST(PbSum, GeqLitDetectsThreshold) {
     EXPECT_EQ(s.solve(), SolveResult::Unsat);
 }
 
+TEST(PbSum, GroupedAtMostExactCount) {
+    // The exclusive-group constructor, as LinLeq compilation and MaxSAT use
+    // it: at most one literal per group (the caller's invariant, asserted
+    // pairwise here) and a weighted sum bounded through atMostLit.
+    Solver s;
+    CnfBuilder b(s);
+    const auto lits = freshLits(b, 9);
+    const std::vector<std::int64_t> weights{3, 5, 2, 7, 1, 4, 6, 2, 9};
+    std::vector<std::vector<PbTerm>> groups(3);
+    for (std::size_t i = 0; i < lits.size(); ++i)
+        groups[i / 3].push_back({weights[i], lits[i]});
+    for (const std::vector<PbTerm>& group : groups)
+        for (std::size_t i = 0; i < group.size(); ++i)
+            for (std::size_t j = i + 1; j < group.size(); ++j)
+                b.addClause(~group[i].lit, ~group[j].lit);
+    const PbSum sum(b, std::span<const std::vector<PbTerm>>(groups));
+    EXPECT_EQ(sum.maxSum(), 5 + 7 + 9);
+    b.assertLit(sum.atMostLit(b, 10));
+    expectModelCount(s, lits, [&weights](const std::vector<bool>& a) {
+        std::int64_t total = 0;
+        for (std::size_t g = 0; g < 3; ++g) {
+            int chosen = 0;
+            for (std::size_t i = 3 * g; i < 3 * g + 3; ++i) {
+                if (!a[i]) continue;
+                ++chosen;
+                total += weights[i];
+            }
+            if (chosen > 1) return false;
+        }
+        return total <= 10;
+    });
+}
+
 TEST(PbSum, EmptyTermsIsZero) {
     Solver s;
     CnfBuilder b(s);
     const PbSum sum(b, std::vector<PbTerm>{});
     EXPECT_EQ(sum.maxSum(), 0);
     EXPECT_EQ(sum.atMostLit(b, 0), b.trueLit());
-}
-
-// --- IntVar ------------------------------------------------------------------
-
-TEST(IntVar, RangeAndComparisons) {
-    Solver s;
-    CnfBuilder b(s);
-    const IntVar x = IntVar::create(b, 2, 7);
-    b.assertLit(x.geqLit(b, 5));
-    b.assertLit(x.leqLit(b, 5));
-    ASSERT_EQ(s.solve(), SolveResult::Sat);
-    EXPECT_EQ(x.valueIn(s), 5);
-}
-
-TEST(IntVar, BoundsConstantFold) {
-    Solver s;
-    CnfBuilder b(s);
-    const IntVar x = IntVar::create(b, 0, 3);
-    EXPECT_EQ(x.leqLit(b, 3), b.trueLit());
-    EXPECT_EQ(x.leqLit(b, 10), b.trueLit());
-    EXPECT_EQ(x.leqLit(b, -1), b.falseLit());
-    EXPECT_EQ(x.eqLit(b, 9), b.falseLit());
-}
-
-TEST(IntVar, SingletonDomain) {
-    Solver s;
-    CnfBuilder b(s);
-    const IntVar x = IntVar::create(b, 4, 4);
-    ASSERT_EQ(s.solve(), SolveResult::Sat);
-    EXPECT_EQ(x.valueIn(s), 4);
-    EXPECT_EQ(x.eqLit(b, 4), b.trueLit());
-}
-
-TEST(IntVar, EqLitEnumeratesDomain) {
-    // Each value of [1,4] should be reachable and reported consistently.
-    for (int target = 1; target <= 4; ++target) {
-        Solver s;
-        CnfBuilder b(s);
-        const IntVar x = IntVar::create(b, 1, 4);
-        b.assertLit(x.eqLit(b, target));
-        ASSERT_EQ(s.solve(), SolveResult::Sat);
-        EXPECT_EQ(x.valueIn(s), target);
-    }
-}
-
-TEST(IntVar, ScaledTermsSumMatchesValue) {
-    Solver s;
-    CnfBuilder b(s);
-    const IntVar x = IntVar::create(b, 3, 9);
-    b.assertLit(x.eqLit(b, 6));
-    ASSERT_EQ(s.solve(), SolveResult::Sat);
-    const auto terms = x.scaledTerms(4); // 4·(x−3) = 12
-    EXPECT_EQ(evalPb(s, terms), 12);
-}
-
-TEST(IntVar, LinearConstraintOverTwoVars) {
-    // x ∈ [0,5], y ∈ [0,5], 2x + 3y ≤ 11, maximize-ish by forcing x ≥ 4.
-    Solver s;
-    CnfBuilder b(s);
-    const IntVar x = IntVar::create(b, 0, 5);
-    const IntVar y = IntVar::create(b, 0, 5);
-    std::vector<PbTerm> terms = x.scaledTerms(2);
-    const auto yTerms = y.scaledTerms(3);
-    terms.insert(terms.end(), yTerms.begin(), yTerms.end());
-    addPbAtMost(b, terms, 11);
-    b.assertLit(x.geqLit(b, 4));
-    ASSERT_EQ(s.solve(), SolveResult::Sat);
-    EXPECT_GE(x.valueIn(s), 4);
-    EXPECT_LE(2 * x.valueIn(s) + 3 * y.valueIn(s), 11);
-    // y can be at most 1 here; force y ≥ 2 → UNSAT.
-    b.assertLit(y.geqLit(b, 2));
-    EXPECT_EQ(s.solve(), SolveResult::Unsat);
 }
 
 } // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <regex>
+
 #include "catalog/catalog.hpp"
+#include "doc_section.hpp"
 #include "kb/objectives.hpp"
 #include "reason/engine.hpp"
 #include "reason/validate.hpp"
@@ -287,6 +290,8 @@ TEST_F(DeploymentRulesTest, AgreesWithValidatorOnPredicateRules) {
         }
     }
     ASSERT_GT(corpus.size(), goodCount);
+    std::size_t agree = 0;
+    DatalogCheck last;
     for (const reason::Design& design : corpus) {
         const auto violations = reason::validateDesign(p, design);
         const bool predicateViolation = std::any_of(
@@ -296,12 +301,31 @@ TEST_F(DeploymentRulesTest, AgreesWithValidatorOnPredicateRules) {
                        v.find("solves") != std::string::npos ||
                        v.find("research-grade") != std::string::npos;
             });
-        EXPECT_EQ(checkDesignWithRules(p, design).compliant,
-                  !predicateViolation)
-            << design.toString();
+        last = checkDesignWithRules(p, design);
+        EXPECT_EQ(last.compliant, !predicateViolation) << design.toString();
+        if (last.compliant == !predicateViolation) ++agree;
     }
     // Forward chaining only checks; finding a design takes the SAT search.
     EXPECT_TRUE(engine.optimize().has_value());
+
+    // EXPERIMENTS.md §ABL5 states the corpus, the agreement and the size of
+    // the last design's program.
+    const std::string section = test::docSection(LAR_EXPERIMENTS_MD, "ABL5");
+    std::smatch m;
+    ASSERT_TRUE(std::regex_search(
+        section, m,
+        std::regex(R"(corpus of (\d+) engine-enumerated designs plus their (\d+) single-system)")));
+    EXPECT_EQ(std::stoul(m[1]), goodCount);
+    EXPECT_EQ(std::stoul(m[2]), corpus.size() - goodCount);
+    ASSERT_TRUE(std::regex_search(
+        section, m,
+        std::regex(R"(verdict agreement with the native validator \| (\d+)/(\d+) )")));
+    EXPECT_EQ(std::stoul(m[1]), agree);
+    EXPECT_EQ(std::stoul(m[2]), corpus.size());
+    ASSERT_TRUE(std::regex_search(
+        section, m, std::regex(R"(Datalog program, last design \| (\d+) facts, (\d+) rules \|)")));
+    EXPECT_EQ(std::stoul(m[1]), last.programFacts);
+    EXPECT_EQ(std::stoul(m[2]), last.programRules);
 }
 
 } // namespace

@@ -480,8 +480,7 @@ TEST_F(ServiceFaultTest, UnknownVerdictIsRetriedWithFreshSeeds) {
 
 TEST_F(ServiceFaultTest, RetryDisabledKeepsSingleAttempt) {
     ServiceOptions options;
-    options.retry.maxAttempts = 3;
-    options.retry.reseedOnUnknown = false;
+    options.retry.maxAttempts = 1;
     Service service(options);
     QueryRequest r = request(QueryKind::Feasibility, caseStudyProblem());
     r.options.conflictBudget = 0;
@@ -505,16 +504,19 @@ TEST_F(ServiceFaultTest, BackendFailureFallsBackToCdcl) {
     EXPECT_EQ(result.trace.verdict, Verdict::Sat);
 }
 
-TEST_F(ServiceFaultTest, FallbackDisabledSurfacesTheBackendError) {
-    util::FaultInjector::global().armNthHit("backend.construct", 1);
-    ServiceOptions options;
-    options.retry.fallbackToCdcl = false;
-    Service service(options);
+TEST_F(ServiceFaultTest, FailedFallbackSurfacesTheBackendError) {
+    // Every backend construction fails: the CDCL fallback runs once, and
+    // its failure comes back as the query's error instead of another
+    // fallback or a swallowed answer.
+    util::FaultInjector::global().armProbability("backend.construct", 1.0, 1);
+    Service service;
     QueryRequest r = request(QueryKind::Optimize, caseStudyProblem());
     r.options.backend = smt::BackendKind::Z3;
     const QueryResult result = service.run(r);
     EXPECT_FALSE(result.verdict != Verdict::Error);
     EXPECT_EQ(result.error.errorKind, "fault_injected");
+    EXPECT_TRUE(result.backendFellBack);
+    EXPECT_EQ(util::FaultInjector::global().hits("backend.construct"), 2u);
 }
 
 // --------------------------------------------------------------- metrics

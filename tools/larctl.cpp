@@ -69,8 +69,7 @@
 // (default 2): transport failures retry when safe, and a shed 429/503 is
 // waited out honoring the server's Retry-After before retrying, all within
 // the request deadline — exit codes are unchanged when retries exhaust.
-// --hedge-ms <n> additionally hedges GETs: a second connection races the
-// first after n ms without a response. --retries 0 restores fail-fast.
+// --retries 0 restores fail-fast.
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -140,7 +139,7 @@ int usage() {
                  "argument — the server's knowledge base answers); --trace-id\n"
                  "<id> stamps every request with that X-Lar-Trace-Id;\n"
                  "--retries <n> bounds retry attempts (default 2, honoring\n"
-                 "Retry-After on 429/503); --hedge-ms <n> hedges GETs after n ms\n");
+                 "Retry-After on 429/503)\n");
     return 2;
 }
 
@@ -561,7 +560,7 @@ int remoteTrace(net::HttpClient& client, const std::string& id, bool chrome) {
 }
 
 int remoteMain(const std::string& url, const std::string& traceId,
-               long retries, long hedgeMs, int argc, char** argv) {
+               long retries, int argc, char** argv) {
     if (argc < 2) return usage();
     const std::string command = argv[1];
     const net::HttpUrl parsed = net::parseHttpUrl(url);
@@ -572,7 +571,6 @@ int remoteMain(const std::string& url, const std::string& traceId,
     // exit codes are the same as ever once attempts run out.
     net::RetryOptions retry;
     retry.maxAttempts = static_cast<int>(retries) + 1;
-    retry.hedgeDelayMs = static_cast<int>(hedgeMs);
     client.setRetryOptions(retry);
 
     if ((command == "feasible" || command == "optimize") && argc == 3)
@@ -677,7 +675,6 @@ int main(int argc, char** argv) {
     std::string url;
     std::string traceId;
     long retries = 2;
-    long hedgeMs = 0;
     bool retryFlagSeen = false;
     std::vector<char*> rest;
     rest.push_back(argv[0]);
@@ -694,22 +691,17 @@ int main(int argc, char** argv) {
                 return 2;
             }
             traceId = argv[++i];
-        } else if (std::strcmp(argv[i], "--retries") == 0 ||
-                   std::strcmp(argv[i], "--hedge-ms") == 0) {
-            const bool isRetries = argv[i][2] == 'r';
+        } else if (std::strcmp(argv[i], "--retries") == 0) {
             if (i + 1 >= argc) {
-                std::fprintf(stderr, "larctl: %s needs a number\n", argv[i]);
+                std::fprintf(stderr, "larctl: --retries needs a number\n");
                 return 2;
             }
-            long value = 0;
-            if (!parseLongArg(argv[i + 1], value) || value < 0 ||
-                value > (isRetries ? 100 : 3'600'000)) {
-                std::fprintf(stderr, "larctl: bad value for %s: '%s'\n",
-                             argv[i], argv[i + 1]);
+            if (!parseLongArg(argv[i + 1], retries) || retries < 0 ||
+                retries > 100) {
+                std::fprintf(stderr, "larctl: bad value for --retries: '%s'\n",
+                             argv[i + 1]);
                 return 2;
             }
-            if (isRetries) retries = value;
-            else hedgeMs = value;
             retryFlagSeen = true;
             ++i;
         } else {
@@ -720,7 +712,7 @@ int main(int argc, char** argv) {
     argv = rest.data();
     if (!url.empty()) {
         try {
-            return remoteMain(url, traceId, retries, hedgeMs, argc, argv);
+            return remoteMain(url, traceId, retries, argc, argv);
         } catch (const Error& e) {
             std::fprintf(stderr, "larctl: %s\n", e.what());
             return 1;
@@ -732,8 +724,8 @@ int main(int argc, char** argv) {
         return 2;
     }
     if (retryFlagSeen) {
-        std::fprintf(stderr, "larctl: --retries/--hedge-ms need --url (they "
-                             "configure the HTTP client)\n");
+        std::fprintf(stderr, "larctl: --retries needs --url (it configures "
+                             "the HTTP client)\n");
         return 2;
     }
 

@@ -60,8 +60,6 @@
 //   --response-write-timeout-ms <n> drop a peer still draining a response
 //                           after n ms (stalled-reader defense; 0 disables,
 //                           default 30s)
-//   --max-conn-lifetime-ms <n>  close any connection older than n ms
-//                           regardless of activity (0 = off, default)
 //   --log-info              lower the log threshold to Info (access logs on)
 #include <fcntl.h>
 #include <signal.h>
@@ -106,8 +104,7 @@ int usage() {
         "                 [--warm-start-cap <n>] [--flight-recorder-cap <n>]\n"
         "                 [--drain-grace-ms <n>] [--log-info]\n"
         "                 [--request-read-timeout-ms <n>]\n"
-        "                 [--response-write-timeout-ms <n>]\n"
-        "                 [--max-conn-lifetime-ms <n>]\n");
+        "                 [--response-write-timeout-ms <n>]\n");
     return 2;
 }
 
@@ -138,7 +135,6 @@ int main(int argc, char** argv) {
     long drainGraceMs = 5000;
     long requestReadTimeoutMs = 30'000;
     long responseWriteTimeoutMs = 30'000;
-    long maxConnLifetimeMs = 0;
     bool logInfo = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -210,10 +206,6 @@ int main(int argc, char** argv) {
             if (!numericFlag("--response-write-timeout-ms",
                              responseWriteTimeoutMs, 0, 3'600'000))
                 return usage();
-        } else if (std::strcmp(argv[i], "--max-conn-lifetime-ms") == 0) {
-            if (!numericFlag("--max-conn-lifetime-ms", maxConnLifetimeMs, 0,
-                             86'400'000))
-                return usage();
         } else if (std::strcmp(argv[i], "--log-info") == 0) {
             logInfo = true;
         } else {
@@ -251,7 +243,6 @@ int main(int argc, char** argv) {
             static_cast<int>(requestReadTimeoutMs);
         serverOptions.responseWriteTimeoutMs =
             static_cast<int>(responseWriteTimeoutMs);
-        serverOptions.maxConnLifetimeMs = static_cast<int>(maxConnLifetimeMs);
         serverOptions.accessLog = logInfo;
         net::HttpServer server(serverOptions);
 
