@@ -1,6 +1,7 @@
 #include "smt/formula.hpp"
 
 #include <algorithm>
+#include <limits>
 
 namespace lar::smt {
 
@@ -86,6 +87,7 @@ NodeId FormulaStore::mkOr(std::vector<NodeId> children) {
 
 NodeId FormulaStore::mkLinLeq(std::vector<LinTerm> terms, std::int64_t bound) {
     std::int64_t total = 0;
+    std::int64_t minCoef = std::numeric_limits<std::int64_t>::max();
     for (LinTerm& t : terms) {
         expects(t.coef > 0, "mkLinLeq: coefficients must be positive");
         // Normalize Not(Var) references.
@@ -94,14 +96,40 @@ NodeId FormulaStore::mkLinLeq(std::vector<LinTerm> terms, std::int64_t bound) {
         t.var = lit->first;
         t.negated = t.negated != lit->second;
         total += t.coef;
+        minCoef = std::min(minCoef, t.coef);
     }
     if (bound < 0) return constant(false);
     if (total <= bound) return constant(true);
+    // From here 0 ≤ bound < total. If one true term already breaks the
+    // bound, every term is false; if one false term already meets it, some
+    // term is false.
+    const auto falseTerms = [&] {
+        std::vector<NodeId> lits;
+        lits.reserve(terms.size());
+        for (const LinTerm& t : terms) lits.push_back(t.negated ? t.var : mkNot(t.var));
+        return lits;
+    };
+    if (bound < minCoef) return mkAnd(falseTerms());
+    if (total - bound <= minCoef) return mkOr(falseTerms());
+
+    std::uint64_t key = static_cast<std::uint64_t>(bound);
+    const auto mix = [&key](std::uint64_t v) { key = (key ^ v) * 0x100000001b3ULL; };
+    for (const LinTerm& t : terms) {
+        mix(static_cast<std::uint64_t>(t.coef));
+        mix(static_cast<std::uint64_t>(t.var) << 1 | (t.negated ? 1 : 0));
+        mix(static_cast<std::uint64_t>(t.group));
+    }
+    for (auto [it, end] = linLeqIndex_.equal_range(key); it != end; ++it) {
+        const Node& n = nodes_[static_cast<std::size_t>(it->second)];
+        if (n.bound == bound && n.terms == terms) return it->second;
+    }
     Node out;
     out.kind = NodeKind::LinLeq;
     out.terms = std::move(terms);
     out.bound = bound;
-    return addNode(std::move(out));
+    const NodeId id = addNode(std::move(out));
+    linLeqIndex_.emplace(key, id);
+    return id;
 }
 
 NodeId FormulaStore::mkLinGeq(std::vector<LinTerm> terms, std::int64_t bound) {

@@ -34,6 +34,8 @@ struct LinTerm {
     NodeId var = kInvalidNode; ///< must reference a Var node
     bool negated = false;
     int group = -1;
+
+    bool operator==(const LinTerm&) const = default;
 };
 
 struct Node {
@@ -76,6 +78,10 @@ public:
 
     /// Σ coef_i·lit_i ≤ bound. Each term's var must be a Var node (or a Not
     /// of one, which is normalized into the negated flag); coefs must be > 0.
+    /// Returns the smallest equivalent node: a constant; an And of the
+    /// negated terms when any one true term breaks the bound; an Or of them
+    /// when any one false term meets it (so at-least-one is a clause);
+    /// otherwise the LinLeq node of an identical atom made earlier, if any.
     NodeId mkLinLeq(std::vector<LinTerm> terms, std::int64_t bound);
     /// Σ coef_i·lit_i ≥ bound (rewritten to a LinLeq over complements).
     NodeId mkLinGeq(std::vector<LinTerm> terms, std::int64_t bound);
@@ -115,6 +121,9 @@ private:
     std::vector<Node> nodes_;
     std::vector<NodeId> vars_;
     std::unordered_map<std::string, NodeId> varIndex_;
+    /// LinLeq nodes by a hash of (terms, bound): equal atoms share one node,
+    /// and so one counter in every backend.
+    std::unordered_multimap<std::uint64_t, NodeId> linLeqIndex_;
     NodeId trueId_ = kInvalidNode;
     NodeId falseId_ = kInvalidNode;
 };

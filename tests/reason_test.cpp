@@ -564,6 +564,38 @@ TEST_F(ReasonTest, EncodingLengthGrowsLinearlyWithKbSize) {
     EXPECT_GT(rows, 0);
 }
 
+TEST_F(ReasonTest, CaseStudyEncodesEachDistinctLinearAtomOnce) {
+    // The resource rules state one atom per hardware model, and most models
+    // repeat another's (terms, bound). Equal atoms must share one LinLeq
+    // node, so every backend builds one counter for them, and an atom with
+    // a clause or cube form must not be a LinLeq at all.
+    Problem p = caseStudyProblem();
+    p.hardware[HardwareClass::Server].count = 70;
+    p.hardware[HardwareClass::Nic].count = 77;
+    p.hardware[HardwareClass::Switch].count = 9;
+    const Compilation compilation(p);
+    const smt::FormulaStore& store = compilation.store();
+    std::vector<smt::NodeId> atoms;
+    for (smt::NodeId id = 0; static_cast<std::size_t>(id) < store.size(); ++id) {
+        const smt::Node& n = store.node(id);
+        if (n.kind != smt::NodeKind::LinLeq) continue;
+        std::int64_t total = 0;
+        std::int64_t minCoef = n.terms.front().coef;
+        for (const smt::LinTerm& t : n.terms) {
+            total += t.coef;
+            minCoef = std::min(minCoef, t.coef);
+        }
+        EXPECT_GE(n.bound, minCoef) << store.toString(id);
+        EXPECT_GT(total - n.bound, minCoef) << store.toString(id);
+        for (const smt::NodeId other : atoms)
+            EXPECT_FALSE(store.node(other).bound == n.bound &&
+                         store.node(other).terms == n.terms)
+                << store.toString(id);
+        atoms.push_back(id);
+    }
+    EXPECT_EQ(atoms.size(), 13u);
+}
+
 TEST_F(ReasonTest, OptimizeStaysFeasibleAsTheKbGrows) {
     for (const std::size_t systems : {14u, 28u, 42u, 56u}) {
         const kb::KnowledgeBase prefix = prefixKb(*kb_, systems);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "smt/backend.hpp"
 #include "smt/formula.hpp"
 #include "util/rng.hpp"
@@ -51,17 +53,104 @@ TEST(FormulaStore, LinLeqFolding) {
     EXPECT_EQ(f.mkLinLeq({{1, x, false}, {1, y, false}}, 2), f.constant(true));
     EXPECT_EQ(f.mkLinGeq({{2, x, false}}, 0), f.constant(true));
     EXPECT_EQ(f.mkLinGeq({{2, x, false}}, 3), f.constant(false));
+    // Bound below every coefficient: every term false.
+    EXPECT_EQ(f.toString(f.mkLinLeq({{2, x}, {3, y, true}}, 1)), "(!x & y)");
+    // Total − bound ≤ smallest coefficient: some term false.
+    EXPECT_EQ(f.toString(f.mkLinLeq({{2, x}, {3, y, true}}, 4)), "(!x | y)");
+    // At least one of three is one clause, not a counter.
+    const std::vector<NodeId> lits{x, y, f.var("z")};
+    EXPECT_EQ(f.toString(f.mkAtLeast(lits, 1)), "(x | y | z)");
 }
 
 TEST(FormulaStore, LinLeqNormalizesNegatedVars) {
     FormulaStore f;
     const NodeId x = f.var("x");
-    const NodeId atom = f.mkLinLeq({{1, f.mkNot(x), false}}, 0);
+    // Three unit terms ≤ 1 has no shorter form, so it stays a LinLeq.
+    const NodeId atom =
+        f.mkLinLeq({{1, f.mkNot(x), false}, {1, f.var("y")}, {1, f.var("z")}}, 1);
     const Node& n = f.node(atom);
     ASSERT_EQ(n.kind, NodeKind::LinLeq);
-    ASSERT_EQ(n.terms.size(), 1u);
+    ASSERT_EQ(n.terms.size(), 3u);
     EXPECT_EQ(n.terms[0].var, x);
     EXPECT_TRUE(n.terms[0].negated);
+    // {1·¬x} ≤ 0 says ¬x is false: the literal x.
+    EXPECT_EQ(f.mkLinLeq({{1, f.mkNot(x), false}}, 0), x);
+}
+
+TEST(FormulaStore, LinLeqFoldsPreserveSemantics) {
+    // Every bound from −1 to total+1 on random term lists: whatever node
+    // mkLinLeq returns must evaluate like Σ ≤ bound on every assignment, and
+    // a LinLeq it returns must have no shorter form.
+    util::Rng rng(2024);
+    for (std::size_t n = 1; n <= 6; ++n) {
+        for (int round = 0; round < 30; ++round) {
+            FormulaStore f;
+            std::vector<NodeId> vars;
+            std::vector<LinTerm> terms;
+            std::int64_t total = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                vars.push_back(f.var("v" + std::to_string(i)));
+                LinTerm t{1 + static_cast<std::int64_t>(rng.below(5)), vars.back(),
+                          rng.chance(0.5), static_cast<int>(rng.below(3)) - 1};
+                // Reach negation through a Not node as often as the flag.
+                if (rng.chance(0.5)) {
+                    t.var = f.mkNot(t.var);
+                    t.negated = !t.negated;
+                }
+                total += t.coef;
+                terms.push_back(t);
+            }
+            for (std::int64_t bound = -1; bound <= total + 1; ++bound) {
+                const NodeId atom = f.mkLinLeq(terms, bound);
+                const Node& node = f.node(atom);
+                if (node.kind == NodeKind::LinLeq) {
+                    std::int64_t minCoef = total;
+                    for (const LinTerm& t : node.terms)
+                        minCoef = std::min(minCoef, t.coef);
+                    EXPECT_GE(node.bound, minCoef);
+                    EXPECT_GT(total - node.bound, minCoef);
+                }
+                for (std::uint32_t bits = 0; bits < (1u << n); ++bits) {
+                    std::unordered_map<NodeId, bool> model;
+                    std::int64_t sum = 0;
+                    for (std::size_t i = 0; i < n; ++i) {
+                        const bool value = ((bits >> i) & 1u) != 0;
+                        model[vars[i]] = value;
+                        const auto lit = f.asLiteral(terms[i].var);
+                        const bool negated = terms[i].negated != lit->second;
+                        if (value != negated) sum += terms[i].coef;
+                    }
+                    ASSERT_EQ(f.evaluate(atom, model), sum <= bound)
+                        << "n=" << n << " bound=" << bound << " bits=" << bits
+                        << " node=" << f.toString(atom);
+                }
+            }
+        }
+    }
+}
+
+TEST(FormulaStore, LinLeqInterning) {
+    FormulaStore f;
+    const NodeId x = f.var("x");
+    const NodeId y = f.var("y");
+    const NodeId z = f.var("z");
+    const std::vector<LinTerm> terms{{1, x, false, 0}, {1, y, false, 0}, {1, z}};
+    const NodeId atom = f.mkLinLeq(terms, 1);
+    ASSERT_EQ(f.node(atom).kind, NodeKind::LinLeq);
+    // Equal content, whether a term names its var or a Not of it.
+    EXPECT_EQ(f.mkLinLeq(terms, 1), atom);
+    EXPECT_EQ(f.mkLinLeq({{1, x, false, 0}, {1, f.mkNot(f.mkNot(y)), false, 0}, {1, z}}, 1),
+              atom);
+    // A different bound, group or negation is a different atom.
+    const std::vector<LinTerm> wider{{1, x}, {1, y}, {1, z}, {1, f.var("w")}};
+    EXPECT_NE(f.mkLinLeq(wider, 1), f.mkLinLeq(wider, 2));
+    EXPECT_NE(f.mkLinLeq({{1, x, false, 0}, {1, y, false, 1}, {1, z}}, 1), atom);
+    EXPECT_NE(f.mkLinLeq({{1, x, false, 0}, {1, y, true, 0}, {1, z}}, 1), atom);
+    // A copy of the store knows the atoms made before the copy.
+    FormulaStore copy = f;
+    const std::size_t size = copy.size();
+    EXPECT_EQ(copy.mkLinLeq(terms, 1), atom);
+    EXPECT_EQ(copy.size(), size);
 }
 
 TEST(FormulaStore, EvaluateMatchesSemantics) {
@@ -82,8 +171,10 @@ TEST(FormulaStore, ToStringIsReadable) {
     const NodeId x = f.var("x");
     const NodeId y = f.var("y");
     EXPECT_EQ(f.toString(f.mkAnd(x, f.mkNot(y))), "(x & !y)");
-    EXPECT_EQ(f.toString(f.mkLinLeq({{2, x, false}, {1, y, true}}, 2)),
-              "(2*x + !y <= 2)");
+    EXPECT_EQ(f.toString(f.mkLinLeq({{2, x, false}, {1, y, true}, {1, f.var("z")}}, 2)),
+              "(2*x + !y + z <= 2)");
+    // {2x, ¬y} ≤ 2 holds unless both terms are true.
+    EXPECT_EQ(f.toString(f.mkLinLeq({{2, x, false}, {1, y, true}}, 2)), "(!x | y)");
 }
 
 // --- Backend conformance: both backends must behave identically -------------
